@@ -221,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bucketing codes: information bounds, constructions, "
                     "and Monte Carlo experiments.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (accepted for interface stability)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("info", help="bucketing information I(P,l0,l1,mu)")
@@ -240,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda0", type=float, required=True)
     sp.add_argument("--lambda1", type=float, required=True)
     sp.add_argument("--starts", type=int, default=32)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_subconj)
 
@@ -253,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of i.i.d. coordinate blocks")
     sp.add_argument("--directions", type=int, default=64)
     sp.add_argument("--starts", type=int, default=16)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_bound)
 

@@ -2,11 +2,12 @@
 
 A bucketing code is a data-independent family of T bucket pairs
 (B0_t, B1_t); a candidate point pair is compared iff some bucket contains
-both sides.  Buckets are kept as predicates plus analytically known
-inclusion probabilities and are never materialized as point sets -- for
-moderate dimension the array-of-lists representation would not fit in
-memory, and everything needed (work, success, simulation) follows from the
-predicates and the probabilities.
+both sides.  A code never stores its buckets as point sets.  It answers
+one question about a batch of points, `membership(points, side)`, with
+two int64 arrays (rows, buckets) in COO form: one entry per (point index,
+bucket id) membership, sorted by point and then by bucket.  Monte Carlo
+counting and the exact success sweep both work on these arrays; work
+follows from the analytically known inclusion probabilities.
 """
 
 from __future__ import annotations
@@ -49,13 +50,11 @@ class BucketingCode:
     def side1_probs(self) -> np.ndarray:
         raise NotImplementedError
 
-    def assign(self, points: np.ndarray, side: int) -> list:
-        """Bucket ids containing each point; a list of sorted int lists."""
+    def membership(self, points: np.ndarray, side: int):
+        """(rows, buckets): int64 arrays with one entry per (point index,
+        bucket id) membership of the (n, d) `points` on `side`, sorted by
+        point and then by bucket."""
         raise NotImplementedError
-
-    def contains(self, t: int, x: np.ndarray, side: int) -> bool:
-        sets = self.assign(np.asarray(x, dtype=np.uint8)[None, :], side)
-        return t in sets[0]
 
     def work(self, n0: float, n1: float) -> float:
         """W = sum_t max(n0 p0_t, n1 p1_t, n0 p0_t n1 p1_t)."""
@@ -88,8 +87,9 @@ class FullSpaceCode(BucketingCode):
     def side1_probs(self) -> np.ndarray:
         return np.ones(1)
 
-    def assign(self, points, side):
-        return [[0] for _ in range(len(points))]
+    def membership(self, points, side):
+        n = len(points)
+        return np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
 
     def success_exact(self, p):
         return 1.0
@@ -116,8 +116,8 @@ class EmptyCode(BucketingCode):
     def side1_probs(self) -> np.ndarray:
         return np.zeros(0)
 
-    def assign(self, points, side):
-        return [[] for _ in range(len(points))]
+    def membership(self, points, side):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
 
     def success_exact(self, p):
         return 0.0
@@ -164,19 +164,14 @@ class ClassicalCode(BucketingCode):
 
     side1_probs = side0_probs
 
-    def bucket_keys(self, points: np.ndarray) -> np.ndarray:
-        """(n, draws) bucket id of each point under each draw."""
-        pts = np.asarray(points, dtype=np.int64)
-        patterns = pts[:, self.coords.reshape(-1)].reshape(
-            len(pts), self.draws, self.k
-        )
+    def membership(self, points, side):
+        n = len(points)
+        patterns = np.asarray(points)[:, self.coords.reshape(-1)].astype(
+            np.int64).reshape(n, self.draws, self.k)
         ids = patterns @ self._weights
         ids += (np.arange(self.draws, dtype=np.int64) << self.k)[None, :]
-        return ids
-
-    def assign(self, points, side):
-        keys = self.bucket_keys(points)
-        return [sorted(row.tolist()) for row in keys]
+        rows = np.repeat(np.arange(n, dtype=np.int64), self.draws)
+        return rows, ids.reshape(-1)
 
     def work(self, n0, n1):
         per = max(n0 * 2.0**-self.k, n1 * 2.0**-self.k, n0 * n1 * 4.0**-self.k)
@@ -205,6 +200,13 @@ class ShellCode(BucketingCode):
             0, 2, size=(T, d), dtype=np.uint8
         )
         self.p_star = (_comb0(d, d0 - 1) + _comb0(d, d0)) / (1 << d)
+        # binary x agrees with center c in x.(2c-1) + d - |c| coordinates,
+        # so that count is d0 - 1 or d0 iff |x.(2c-1) + shift| = 1/2 with
+        # shift = d - |c| - d0 + 1/2; float32 holds these half-integers
+        # exactly
+        self._signs = (2.0 * self.centers - 1.0).T.astype(np.float32)
+        self._shift = (d - d0 + 0.5 - self.centers.sum(axis=1, dtype=np.int64)
+                       ).astype(np.float32)
 
     @property
     def T(self) -> int:
@@ -215,14 +217,10 @@ class ShellCode(BucketingCode):
 
     side1_probs = side0_probs
 
-    def agreement_counts(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.uint8)
-        return (pts[:, None, :] == self.centers[None, :, :]).sum(axis=2)
-
-    def assign(self, points, side):
-        agree = self.agreement_counts(points)
-        member = (agree == self.d0 - 1) | (agree == self.d0)
-        return [np.nonzero(row)[0].tolist() for row in member]
+    def membership(self, points, side):
+        offset = np.asarray(points) @ self._signs + self._shift
+        rows, buckets = np.nonzero(np.abs(offset) == 0.5)
+        return rows.astype(np.int64), buckets.astype(np.int64)
 
     def descriptor(self):
         return {"kind": "shell", "d": self.d, "T": self._T, "seed": self.seed,
@@ -422,21 +420,19 @@ class TypeClassCode(BucketingCode):
         return self.U * -math.expm1(self._T * math.log1p(-ratio)) if ratio < 1 \
             else self.U
 
-    def _member(self, x: np.ndarray, perm: np.ndarray, side: int) -> bool:
+    def membership(self, points, side):
+        pts = np.asarray(points)
         targets = self.row_counts if side == 0 else self.col_counts
-        width = targets.shape[1]
-        for i in range(len(self.block_sizes)):
-            seg = x[perm[self.boundaries[i]:self.boundaries[i + 1]]]
-            if not np.array_equal(np.bincount(seg, minlength=width), targets[i]):
-                return False
-        return True
-
-    def assign(self, points, side):
-        pts = np.asarray(points, dtype=np.int64)
-        return [
-            [t for t in range(self._T) if self._member(x, self.perms[t], side)]
-            for x in pts
-        ]
+        symbols = np.arange(targets.shape[1])
+        member = np.ones((len(pts), self._T), dtype=bool)
+        for t, perm in enumerate(self.perms):
+            for i, target in enumerate(targets):
+                seg = pts[:, perm[self.boundaries[i]:self.boundaries[i + 1]]]
+                # a symbol outside the alphabet leaves the counts short
+                counts = (seg[:, :, None] == symbols).sum(axis=1)
+                member[:, t] &= (counts == target).all(axis=1)
+        rows, buckets = np.nonzero(member)
+        return rows.astype(np.int64), buckets.astype(np.int64)
 
     def descriptor(self):
         return {
@@ -491,27 +487,28 @@ class TensorPowerCode(BucketingCode):
             out = np.multiply.outer(out, probs).reshape(-1)
         return out
 
-    def assign(self, points, side):
+    def membership(self, points, side):
+        """Composite id sum_i t_i base_T^(k-1-i) for every k-tuple of the
+        point's per-block base buckets, joined block by block."""
+        if self.T > np.iinfo(np.int64).max:
+            raise TooLarge(f"{self.T} composite bucket ids overflow int64")
         pts = np.asarray(points)
-        base_t = self.base.T
-        out = []
-        for x in pts:
-            per_block = [
-                self.base.assign(
-                    x[i * self.base.d:(i + 1) * self.base.d][None, :], side
-                )[0]
-                for i in range(self.k)
-            ]
-            count = 1
-            for ids in per_block:
-                count *= len(ids)
-                if count > BUCKET_INDEX_GUARD:
-                    raise TooLarge("composite bucket list exceeds the guard")
-            composite = [0]
-            for ids in per_block:
-                composite = [c * base_t + t for c in composite for t in ids]
-            out.append(sorted(composite))
-        return out
+        n, bd = len(pts), self.base.d
+        parts = [self.base.membership(pts[:, i * bd:(i + 1) * bd], side)
+                 for i in range(self.k)]
+        lens = np.stack([np.bincount(r, minlength=n) for r, _ in parts], axis=1)
+        if np.any(np.cumprod(lens, axis=1, dtype=float) > BUCKET_INDEX_GUARD):
+            raise TooLarge("composite bucket list exceeds the guard")
+        rows = np.arange(n, dtype=np.int64)
+        ids = np.zeros(n, dtype=np.int64)
+        for (_, base_ids), blen in zip(parts, lens.T):
+            # pair each composite prefix with every base id of its point
+            rep = blen[rows]
+            start = np.repeat((np.cumsum(blen) - blen)[rows], rep)
+            offset = np.arange(rep.sum()) - np.repeat(np.cumsum(rep) - rep, rep)
+            ids = np.repeat(ids, rep) * self.base.T + base_ids[start + offset]
+            rows = np.repeat(rows, rep)
+        return rows, ids
 
     def work(self, n0, n1):
         a = self.base.side0_probs()
@@ -578,19 +575,17 @@ class ConcatenatedCode(BucketingCode):
     def side1_probs(self) -> np.ndarray:
         return np.concatenate([self.c1.side1_probs(), self.c2.side1_probs()])
 
-    def assign(self, points, side):
+    def membership(self, points, side):
         pts = np.asarray(points)
         if self.mode == "blocks":
-            first = self.c1.assign(pts[:, :self.c1.d], side)
-            second = self.c2.assign(pts[:, self.c1.d:], side)
+            r1, b1 = self.c1.membership(pts[:, :self.c1.d], side)
+            r2, b2 = self.c2.membership(pts[:, self.c1.d:], side)
         else:
-            first = self.c1.assign(pts, side)
-            second = self.c2.assign(pts, side)
-        off = self.c1.T
-        return [
-            sorted(list(f) + [off + t for t in s])
-            for f, s in zip(first, second)
-        ]
+            r1, b1 = self.c1.membership(pts, side)
+            r2, b2 = self.c2.membership(pts, side)
+        rows = np.concatenate([r1, r2])
+        order = np.argsort(rows, kind="stable")
+        return rows[order], np.concatenate([b1, b2 + self.c1.T])[order]
 
     def success_exact(self, p):
         if self.mode != "blocks":
@@ -621,8 +616,10 @@ def concatenate(c1: BucketingCode, c2: BucketingCode,
 
 def code_work(code: BucketingCode, n0: float, n1: float) -> float:
     """Work of a code at (possibly non-integer) expected set sizes."""
-    if n0 <= 0 or n1 <= 0:
-        raise DomainError(f"set sizes must be positive, got {n0}, {n1}")
+    if not (0 < n0 < math.inf and 0 < n1 < math.inf):  # also rejects nan
+        raise DomainError(
+            f"set sizes must be positive and finite, got {n0}, {n1}"
+        )
     return code.work(n0, n1)
 
 
@@ -641,8 +638,7 @@ def _membership_matrix(code: BucketingCode, points: np.ndarray,
     if code.T > BUCKET_INDEX_GUARD:
         raise TooLarge(f"{code.T} buckets exceed the enumeration guard")
     m = np.zeros((len(points), code.T), dtype=bool)
-    for i, ids in enumerate(code.assign(points, side)):
-        m[i, list(ids)] = True
+    m[code.membership(points, side)] = True
     return m
 
 
@@ -671,9 +667,6 @@ def code_success_exact(code: BucketingCode, p: ProbabilityMatrix) -> float:
         joint = np.kron(joint, p.entries)
     co = (m0.astype(np.float32) @ m1.astype(np.float32).T) > 0
     return float(joint[co].sum())
-
-
-_CODE_KINDS = {}
 
 
 def code_from_descriptor(desc: dict) -> BucketingCode:

@@ -24,17 +24,6 @@ from .errors import DomainError, MassError
 from .probmodel import NonnegMatrix, ProbabilityMatrix, kl_extended, mutual_information
 from .rng import derive_rng
 
-# Generators of the common core cone D(0) of log-attainable tuples
-# (m0, m1, s, w), and the extra generator available with unlimited data.
-CORE_CONE_GENERATORS = (
-    (1.0, 0.0, 0.0, 1.0),
-    (0.0, 1.0, 0.0, 1.0),
-    (0.0, 0.0, 1.0, 0.0),
-    (0.0, 0.0, 0.0, 1.0),
-    (-1.0, -1.0, 0.0, -1.0),
-)
-UNLIMITED_CORE_EXTRA_GENERATOR = (0.0, 0.0, -1.0, 1.0)
-
 _VERTEX_LOGIT = 16.0
 
 
@@ -47,7 +36,11 @@ class InfoQuery:
     mu: float
 
     def __post_init__(self):
-        if self.mu < 0:
+        if not (math.isfinite(self.lambda0) and math.isfinite(self.lambda1)):
+            raise DomainError(
+                f"lambda0={self.lambda0}, lambda1={self.lambda1} must be finite"
+            )
+        if not self.mu >= 0:  # also rejects nan
             raise DomainError(f"mu={self.mu} must be >= 0")
 
 
@@ -215,14 +208,14 @@ def _single_term(p: ProbabilityMatrix, l0: float, l1: float, mu: float,
         return val, grad_z
 
     # Exact candidates: Q = P (value 0) and every vertex of the simplex.
-    candidates = [(0.0, e.copy(), True)]
+    candidates = [(0.0, [e.copy()], True)]
     for t in range(n):
         v = l0 * math.log(1.0 / pr[jj[t]]) + l1 * math.log(1.0 / pc[kk[t]])
         if mu > 0:
             v -= mu * math.log(1.0 / ps[t])
         q = np.zeros(n)
         q[t] = 1.0
-        candidates.append((v, split(q), True))
+        candidates.append((v, [split(q)], True))
 
     starts = []
     if mu > 0:
@@ -250,13 +243,22 @@ def _single_term(p: ProbabilityMatrix, l0: float, l1: float, mu: float,
             options={"maxiter": 400},
         )
         val, _ = value_grad(res.x)
-        results.append((val, split(_softmax(res.x)), False))
+        results.append((val, [split(_softmax(res.x))], False))
 
-    results.extend(candidates)
-    results.sort(key=lambda t: t[0], reverse=True)
-    best_val, best_q, exact = results[0]
+    return _pick_best(results, candidates)
+
+
+def _pick_best(results, candidates):
+    """(value, witness, exact, converged) of the best optimizer result or
+    exact candidate, each a (value, witness, exact) triple.
+
+    An exact candidate is its own evidence; an optimizer result counts as
+    converged when some other result comes within 1e-6 of it.
+    """
+    results = sorted(results + candidates, key=lambda t: t[0], reverse=True)
+    best_val, best, exact = results[0]
     near = sum(1 for v, _, _ in results if v >= best_val - 1e-6)
-    return best_val, [best_q], exact, near >= 2
+    return best_val, best, exact, exact or near >= 2
 
 
 def _softmax(z, axis=None):
@@ -391,11 +393,7 @@ def _multi_block(p: ProbabilityMatrix, l0, l1, mu, n_starts, seed):
             blocks.append(b)
         results.append((val, blocks, False))
 
-    results.extend(candidates)
-    results.sort(key=lambda t: t[0], reverse=True)
-    best_val, best_blocks, exact = results[0]
-    near = sum(1 for v, _, _ in results if v >= best_val - 1e-6)
-    return best_val, best_blocks, exact, near >= 2
+    return _pick_best(results, candidates)
 
 
 def _infinite_mu(p: ProbabilityMatrix, l0, l1, n_starts, seed):
@@ -483,11 +481,7 @@ def _infinite_mu(p: ProbabilityMatrix, l0, l1, n_starts, seed):
         val, _ = value_grad(res.x)
         results.append((val, blocks_from(_softmax(res.x.reshape(nb, n), axis=0)), False))
 
-    results.extend(candidates)
-    results.sort(key=lambda t: t[0], reverse=True)
-    best_val, best_blocks, exact = results[0]
-    near = sum(1 for v, _, _ in results if v >= best_val - 1e-6)
-    return best_val, best_blocks, exact, near >= 2
+    return _pick_best(results, candidates)
 
 
 def info_numeric(
@@ -500,8 +494,10 @@ def info_numeric(
 
     Multi-start interior-point ascent over a softmax parametrization; for
     mu <= 1 the single-term form suffices, for mu > 1 the full b0*b1-block
-    objective is maximized.  Non-convergence (no two starts agreeing with
-    the maximum within 1e-6) is reported via converged=False, never raised.
+    objective is maximized.  A maximum attained by an exact closed-form
+    candidate counts as converged; otherwise non-convergence (no two starts
+    agreeing with the maximum within 1e-6) is reported via converged=False,
+    never raised.
     """
     l0, l1, mu = query.lambda0, query.lambda1, query.mu
     if math.isinf(mu):

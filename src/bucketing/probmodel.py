@@ -99,7 +99,7 @@ def make_matrix(entries) -> ProbabilityMatrix:
     """Validate a rectangular grid of probabilities and precompute marginals.
 
     Raises NegativeEntry for any entry < 0 and NotNormalized when the total
-    differs from 1 by more than 1e-9.
+    differs from 1 by more than 1e-9 (a nan entry included).
     """
     arr = np.array(entries, dtype=float)
     if arr.ndim == 1:
@@ -109,7 +109,7 @@ def make_matrix(entries) -> ProbabilityMatrix:
     if np.any(arr < 0):
         raise NegativeEntry(f"negative entry in probability matrix: min={arr.min()}")
     total = arr.sum()
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:  # also catches nan
         raise NotNormalized(f"entries sum to {total!r}, expected 1")
     arr = arr.copy()
     arr.flags.writeable = False

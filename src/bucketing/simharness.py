@@ -1,7 +1,7 @@
 """Monte Carlo validation of the code analytics, plus baseline comparisons.
 
-Experiments sample fresh planted-pair datasets, push every point through a
-code's bucket predicates, and compare the observed success frequency and
+Experiments sample fresh planted-pair datasets, take every point's bucket
+memberships from the code, and compare the observed success frequency and
 operation counts against the exact formulas.  Success means capturing the
 planted pair; spurious near pairs do not count.
 """
@@ -75,7 +75,7 @@ def run_experiment(
     Each trial draws a fresh dataset from its own derived sub-stream, so the
     result is a pure function of the arguments.  Lookups count bucket
     memberships over all points; comparisons count co-bucketed point pairs
-    summed over buckets.
+    summed over buckets, sum_t |B0_t & X0| |B1_t & X1|.
     """
     if trials < 1:
         raise DomainError(f"trials={trials} must be >= 1")
@@ -86,18 +86,16 @@ def run_experiment(
     lookups = 0.0
     for t in range(trials):
         ds = generate_dataset(p, d, n0, n1, _trial_seed(seed, t))
-        sets0 = code.assign(ds.x0_points, 0)
-        sets1 = code.assign(ds.x1_points, 1)
-        lookups += sum(len(s) for s in sets0) + sum(len(s) for s in sets1)
-        c0 = Counter()
-        for ids in sets0:
-            c0.update(ids)
-        c1 = Counter()
-        for ids in sets1:
-            c1.update(ids)
-        comparisons += sum(c0[b] * c1[b] for b in c0.keys() & c1.keys())
+        rows0, ids0 = code.membership(ds.x0_points, 0)
+        rows1, ids1 = code.membership(ds.x1_points, 1)
+        lookups += ids0.size + ids1.size
+        # each side-1 membership meets every side-0 point of its bucket
+        sorted0 = np.sort(ids0)
+        comparisons += int(np.sum(np.searchsorted(sorted0, ids1, side="right")
+                                  - np.searchsorted(sorted0, ids1)))
         i0, i1 = ds.planted
-        if set(sets0[i0]) & set(sets1[i1]):
+        if np.intersect1d(ids0[rows0 == i0], ids1[rows1 == i1],
+                          assume_unique=True).size:
             successes += 1
     phat = successes / trials
     var = max(phat * (1.0 - phat), 0.25 / trials)

@@ -19,7 +19,6 @@ def replay_argv(header_line):
     """Rebuild the argv of a run from its echoed config header."""
     cfg = json.loads(header_line.removeprefix("# config "))
     argv = [cfg.pop("command")]
-    cfg.pop("threads", None)
     for key, value in sorted(cfg.items()):
         if value is None:
             continue

@@ -26,6 +26,33 @@ from bucketing.errors import (
 from bucketing.probmodel import bernoulli_matrix, make_matrix
 
 
+def every_kind():
+    """One code of each kind, composites included."""
+    P = bernoulli_matrix(0.8)
+    return [
+        full_space_code(5),
+        empty_code(5),
+        shell_code(6, 3, 5, seed=11),
+        classical_code(6, 2, 3, seed=12),
+        typeclass_code(P, 6, [P.entries], seed=13, T=2),
+        tensor_power(shell_code(3, 2, 2, seed=14), 2),
+        concatenate(shell_code(4, 2, 2, 1), classical_code(4, 2, 1, 2),
+                    "union"),
+        concatenate(classical_code(4, 1, 2, 3), shell_code(3, 2, 3, 4),
+                    "blocks"),
+    ]
+
+
+def dense(code, pts, side):
+    """(n, T) bool membership matrix of a code."""
+    m = np.zeros((len(pts), code.T), dtype=bool)
+    m[code.membership(pts, side)] = True
+    return m
+
+
+ALL_POINTS_6 = ((np.arange(64)[:, None] >> np.arange(6)) & 1).astype(np.uint8)
+
+
 def brute_capture(d, d0, m):
     """Count centers capturing a fixed distance-m pair, by enumeration."""
     centers = (
@@ -125,13 +152,14 @@ class TestShellCode:
         per_bucket = max(n * 1716 / 4096, (n * 1716 / 4096) ** 2)
         assert code_work(code, n, n) == pytest.approx(13 * per_bucket)
 
-    def test_assign_matches_agreement_rule(self):
+    def test_membership_matches_agreement_rule(self):
         code = shell_code(6, 3, 4, seed=5)
         pts = np.array([[0, 1, 0, 1, 1, 0], [1, 1, 1, 1, 1, 1]], dtype=np.uint8)
-        for x, ids in zip(pts, code.assign(pts, 0)):
+        rows, buckets = code.membership(pts, 0)
+        for i, x in enumerate(pts):
             for t in range(4):
                 agree = int((x == code.centers[t]).sum())
-                assert (t in ids) == (agree in (2, 3))
+                assert (t in buckets[rows == i]) == (agree in (2, 3))
 
 
 class TestClassicalCode:
@@ -159,9 +187,10 @@ class TestClassicalCode:
     def test_each_point_in_one_bucket_per_draw(self):
         code = classical_code(8, 4, 6, seed=3)
         pts = np.random.default_rng(0).integers(0, 2, (20, 8), dtype=np.uint8)
-        for ids in code.assign(pts, 0):
-            draws = [i >> 4 for i in ids]
-            assert sorted(draws) == list(range(6))
+        rows, buckets = code.membership(pts, 0)
+        for i in range(len(pts)):
+            draws = buckets[rows == i] >> 4
+            assert sorted(draws.tolist()) == list(range(6))
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -210,9 +239,8 @@ class TestTypeClassCode:
     def test_side_probs_from_enumeration(self):
         code = typeclass_code(self.P, 6, [self.P.entries], seed=4, T=2)
         pts = (np.arange(64)[:, None] >> np.arange(6)[None, :]) & 1
-        member = np.array(
-            [0 in ids for ids in code.assign(pts.astype(np.uint8), 0)]
-        )
+        rows, buckets = code.membership(pts.astype(np.uint8), 0)
+        member = np.isin(np.arange(64), rows[buckets == 0])
         weights = np.prod(
             np.where(pts == 0, 0.5, 0.5), axis=1
         )  # uniform marginals
@@ -238,12 +266,32 @@ class TestCombinators:
         assert code_success_exact(squared, self.P) == pytest.approx(s * s)
 
     def test_tensor_enumeration_agrees_with_product_form(self):
+        for base, k in ((shell_code(3, 2, 2, seed=5), 2),
+                        (classical_code(2, 1, 2, seed=3), 3)):
+            power = tensor_power(base, k)
+            power.success_exact = lambda p: None  # force the state sweep
+            assert code_success_exact(power, self.P) == pytest.approx(
+                code_success_exact(base, self.P) ** k, abs=1e-12
+            )
+
+    def test_tensor_membership_is_and_of_blocks(self):
         base = shell_code(3, 2, 2, seed=5)
         squared = tensor_power(base, 2)
-        squared.success_exact = lambda p: None  # force the state sweep
-        assert code_success_exact(squared, self.P) == pytest.approx(
-            code_success_exact(base, self.P) ** 2, abs=1e-12
-        )
+        for side in (0, 1):
+            m1 = dense(base, ALL_POINTS_6[:, :3], side)
+            m2 = dense(base, ALL_POINTS_6[:, 3:], side)
+            # composite id of (t1, t2) is t1 * T + t2
+            expected = (m1[:, :, None] & m2[:, None, :]).reshape(64, 4)
+            assert np.array_equal(dense(squared, ALL_POINTS_6, side), expected)
+
+    def test_union_membership_is_or_with_offset(self):
+        c1 = shell_code(6, 3, 3, seed=2)
+        c2 = classical_code(6, 2, 2, seed=3)
+        u = concatenate(c1, c2, "union")
+        for side in (0, 1):
+            expected = np.hstack([dense(c1, ALL_POINTS_6, side),
+                                  dense(c2, ALL_POINTS_6, side)])
+            assert np.array_equal(dense(u, ALL_POINTS_6, side), expected)
 
     def test_tensor_work_matches_materialized(self):
         base = shell_code(4, 2, 3, seed=8)
@@ -298,26 +346,48 @@ class TestGuardsAndDescriptors:
         with pytest.raises(TooLarge):
             code_success_exact(shell_code(30, 15, 1, 0), bernoulli_matrix(0.9))
 
+    def test_tensor_membership_guards(self):
+        pts = np.zeros((2, 2), dtype=np.uint8)
+        # d0 = d = 1 puts every point in all 1100 buckets: 1100^2 > 2^20
+        with pytest.raises(TooLarge):
+            tensor_power(shell_code(1, 1, 1100, 0), 2).membership(pts, 0)
+        # 2^62 buckets per factor: composite ids would overflow int64
+        with pytest.raises(TooLarge):
+            tensor_power(classical_code(62, 62, 1, 0), 2).membership(
+                np.zeros((2, 124), dtype=np.uint8), 0)
+
     def test_work_size_validation(self):
         with pytest.raises(DomainError):
             code_work(shell_code(4, 2, 1, 0), 0, 5)
 
     def test_descriptor_round_trip(self):
-        P = bernoulli_matrix(0.8)
-        codes = [
-            shell_code(6, 3, 5, seed=11),
-            classical_code(6, 2, 3, seed=12),
-            typeclass_code(P, 6, [P.entries], seed=13, T=2),
-            tensor_power(shell_code(3, 2, 2, seed=14), 2),
-            concatenate(shell_code(4, 2, 2, 1), classical_code(4, 2, 1, 2),
-                        "union"),
-        ]
         pts = np.random.default_rng(7).integers(0, 2, (12, 12), dtype=np.uint8)
-        for code in codes:
+        for code in every_kind():
             clone = code_from_descriptor(code.descriptor())
             sub = pts[:, : code.d]
-            assert code.assign(sub, 0) == clone.assign(sub, 0)
-            assert code.assign(sub, 1) == clone.assign(sub, 1)
+            for side in (0, 1):
+                for a, b in zip(code.membership(sub, side),
+                                clone.membership(sub, side)):
+                    assert np.array_equal(a, b)
+
+    def test_membership_is_sorted_coo(self):
+        pts = np.random.default_rng(8).integers(0, 2, (15, 12), dtype=np.uint8)
+        for code in every_kind():
+            for side in (0, 1):
+                rows, buckets = code.membership(pts[:, : code.d], side)
+                assert rows.dtype == buckets.dtype == np.int64
+                assert rows.shape == buckets.shape
+                key = rows * code.T + buckets
+                assert np.all(np.diff(key) > 0)  # by point, then bucket
+                assert np.all((0 <= buckets) & (buckets < code.T))
+                assert np.all((0 <= rows) & (rows < len(pts)))
+
+    @pytest.mark.parametrize("n0, n1", [
+        (math.nan, 3), (3, math.nan), (math.inf, 3), (3, -math.inf),
+    ])
+    def test_work_rejects_non_finite(self, n0, n1):
+        with pytest.raises(DomainError):
+            code_work(shell_code(4, 2, 1, 0), n0, n1)
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):

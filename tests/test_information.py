@@ -90,6 +90,15 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             info_numeric(BERN9, InfoQuery(1.0, 1.0, -0.5))
 
+    @pytest.mark.parametrize("query", [
+        (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (math.inf, 1.0, 1.0),
+        (1.0, -math.inf, 1.0), (1.0, 1.0, math.nan),
+    ])
+    def test_non_finite_query_rejected(self, query):
+        # mu = inf is a regime of its own; nan and infinite lambdas are not
+        with pytest.raises(DomainError):
+            InfoQuery(*query)
+
 
 class TestInfoNumeric:
     def test_matches_closed_form_at_unit_lambdas(self):
@@ -183,6 +192,14 @@ class TestInfoNumeric:
             assert res.value == pytest.approx(
                 info_closed_form(p, mu), abs=1e-8
             )
+
+    def test_closed_form_win_is_converged(self):
+        # n_starts=1 leaves only the two fixed starts, and neither comes
+        # within 1e-6 of the exact identity split that attains the maximum
+        res = info_numeric(BERN9, InfoQuery(1.0, 1.0, math.inf), n_starts=1)
+        assert res.method == "closed_form"
+        assert res.value == pytest.approx(mutual_information(BERN9), abs=1e-15)
+        assert res.converged
 
     def test_result_json(self):
         res = info_numeric(BERN9, InfoQuery(1.0, 1.0, 2.0), n_starts=4)

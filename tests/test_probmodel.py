@@ -58,6 +58,15 @@ class TestMakeMatrix:
         with pytest.raises(NotNormalized):
             make_matrix([[0.5, 0.4], [0.05, 0.01]])
 
+    @pytest.mark.parametrize("entries, error", [
+        ([[math.nan, 0.5], [0.25, 0.25]], NotNormalized),
+        ([[math.inf, 0.5], [0.25, 0.25]], NotNormalized),
+        ([[-math.inf, 0.5], [0.25, 0.25]], NegativeEntry),
+    ])
+    def test_non_finite_entry(self, entries, error):
+        with pytest.raises(error):
+            make_matrix(entries)
+
     def test_entries_frozen(self):
         p = make_matrix([[0.5, 0.5]])
         with pytest.raises(ValueError):
