@@ -107,12 +107,11 @@ def _cmd_subconj(args, parser):
     flag, witness, value = is_subconjugate(
         p, args.lambda0, args.lambda1, n_starts=args.starts
     )
-    lines = [f"subconjugate {'true' if flag else 'false'}",
-             f"residual {value!r}"]
-    if witness is not None:
-        cells = getattr(witness, "entries", witness)
-        lines.append("witness " + json.dumps(cells.tolist()))
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, "\n".join([
+        f"subconjugate {'true' if flag else 'false'}",
+        f"residual {value!r}",
+        "witness " + json.dumps(witness.tolist()),
+    ]) + "\n")
 
 
 def _cmd_bound(args, parser):
@@ -208,6 +207,15 @@ def _cmd_baseline(args, parser):
     _emit(args, "\n".join(lines) + "\n")
 
 
+def _add_starts_flag(sp, default):
+    sp.add_argument("--starts", type=int, default=default,
+                    help="minimum optimizer starts per I evaluation; at "
+                         "least 4 per support cell of P run for mu <= 1, "
+                         "4*b0*b1 for 1 < mu < inf and 2 at mu = inf, so "
+                         "values below 16 change nothing at finite mu on a "
+                         "full 2x2 matrix")
+
+
 def _add_matrix_flags(sp):
     sp.add_argument("--p", type=float, default=None,
                     help="bernoulli agreement probability in [1/2, 1]")
@@ -228,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda0", type=float, default=1.0)
     sp.add_argument("--lambda1", type=float, default=1.0)
     sp.add_argument("--mu", default="inf", help="float or 'inf'")
-    sp.add_argument("--starts", type=int, default=32)
+    _add_starts_flag(sp, 32)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_info)
@@ -237,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_flags(sp)
     sp.add_argument("--lambda0", type=float, required=True)
     sp.add_argument("--lambda1", type=float, required=True)
-    sp.add_argument("--starts", type=int, default=32)
+    _add_starts_flag(sp, 32)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_subconj)
 
@@ -249,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--blocks", type=int, default=1,
                     help="number of i.i.d. coordinate blocks")
     sp.add_argument("--directions", type=int, default=64)
-    sp.add_argument("--starts", type=int, default=16)
+    _add_starts_flag(sp, 16)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_bound)
 
@@ -282,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda1-grid", dest="lambda1_grid", default="1")
     sp.add_argument("--mu-grid", dest="mu_grid", default="0:4:0.5,inf",
                     help="comma-separated lo:hi:step grids; 'inf' allowed")
-    sp.add_argument("--starts", type=int, default=32)
+    _add_starts_flag(sp, 32)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_sweep)

@@ -3,10 +3,12 @@
 I generalizes Shannon mutual information (recovered at lambda0=lambda1=1,
 mu=infinity) and governs both the work lower bounds and the attainable
 region of bucketing codes.  The maximization underlying I is a difference
-of divergence terms and is not concave, so the numeric evaluator runs a
-deterministic multi-start ascent over a softmax parametrization and keeps
-exact closed-form candidates (vertices, the concentrated-block stationary
-point) alongside the optimizer output.
+of divergence terms and is not concave.  Each of the three regimes (mu <= 1,
+1 < mu < infinity, mu = infinity) supplies its own softmax-parametrized
+objective, exact closed-form candidates (vertices, the identity split, the
+concentrated-block stationary point) and deterministic starts; one driver,
+`_ascend`, runs L-BFGS-B from every start and keeps the best of the local
+maxima and the candidates.
 """
 
 from __future__ import annotations
@@ -143,12 +145,19 @@ def block_objective(p: ProbabilityMatrix, blocks, lambda0: float,
 
     blocks: nonnegative matrices R_i with total mass 1.  For mu = infinity
     the (1-mu) K(R_*||P) term is treated as a hard constraint R_* = P
-    (returns -inf when K(R_*||P) > 1e-9).
+    (returns -inf when K(R_*||P) > 1e-9).  A single block is its own
+    mixture, so its -K + (1-mu) K is taken as -mu K, which is 0 at mu = 0
+    even where the block sits on zero cells of P.
     """
     arrs = [np.asarray(getattr(b, "entries", b), dtype=float) for b in blocks]
     total = sum(a.sum() for a in arrs)
     if abs(total - 1.0) > 1e-9:
         raise MassError(f"blocks have total mass {total}, expected 1")
+    if len(arrs) == 1 and not math.isinf(mu):
+        a = arrs[0]
+        val = lambda0 * kl_extended(a.sum(axis=1), p.row_marginals)
+        val += lambda1 * kl_extended(a.sum(axis=0), p.col_marginals)
+        return val - mu * kl_extended(a, p) if mu > 0 else val
     val = 0.0
     mix = np.zeros_like(p.entries)
     for a in arrs:
@@ -164,33 +173,21 @@ def block_objective(p: ProbabilityMatrix, blocks, lambda0: float,
     return val + (1.0 - mu) * k_mix
 
 
-def _kl_vec(q, p):
-    # q, p strictly positive, q normalized
-    return float(np.sum(q * np.log(q / p)))
-
-
 def _single_term(p: ProbabilityMatrix, l0: float, l1: float, mu: float,
                  n_starts: int, seed: int):
     """Maximize l0 K(Q_row) + l1 K(Q_col) - mu K(Q||P) over prob matrices."""
     e = p.entries
     pr, pc = p.row_marginals, p.col_marginals
-    if mu == 0:
-        support = np.outer(pr > 0, pc > 0)
-    else:
-        support = e > 0
+    support = np.outer(pr > 0, pc > 0) if mu == 0 else e > 0
     jj, kk = np.nonzero(support)
     ps = e[support]
     b0, b1 = e.shape
     n = ps.size
 
-    def split(q):
-        m = np.zeros((b0, b1))
-        m[jj, kk] = q
-        return m
-
     def value_grad(z):
         q = _softmax(z)
-        m = split(q)
+        m = np.zeros((b0, b1))
+        m[jj, kk] = q
         qr = m.sum(axis=1)
         qc = m.sum(axis=0)
         val = 0.0
@@ -209,56 +206,65 @@ def _single_term(p: ProbabilityMatrix, l0: float, l1: float, mu: float,
 
     # Exact candidates: Q = P (value 0) and every vertex of the simplex.
     candidates = [(0.0, [e.copy()], True)]
+    vertices = _scatter(e, jj, kk, np.eye(n))
     for t in range(n):
         v = l0 * math.log(1.0 / pr[jj[t]]) + l1 * math.log(1.0 / pc[kk[t]])
         if mu > 0:
             v -= mu * math.log(1.0 / ps[t])
-        q = np.zeros(n)
-        q[t] = 1.0
-        candidates.append((v, [split(q)], True))
+        candidates.append((v, [vertices[t]], True))
 
-    starts = []
-    if mu > 0:
-        starts.append(np.log(ps))
-    starts.append(np.zeros(n))
-    for t in range(min(n, 4)):
-        z = np.zeros(n)
-        z[t] = _VERTEX_LOGIT / 2
-        starts.append(z)
-    rng = derive_rng(seed, "single-term-starts")
+    starts = ([np.log(ps)] if mu > 0 else []) + [np.zeros(n)]
+    starts.extend(np.eye(n)[:4] * (_VERTEX_LOGIT / 2))
     # larger supports carve up the landscape into more basins; scale the
     # start count with the cell count and vary the dispersion
-    target = max(n_starts, 4 * n)
-    scales = (0.5, 1.5, 3.0)
-    while len(starts) < target:
-        starts.append(rng.normal(scale=scales[len(starts) % 3], size=n))
+    _random_starts(starts, max(n_starts, 4 * n), n,
+                   derive_rng(seed, "single-term-starts"), (0.5, 1.5, 3.0))
+    return _ascend(value_grad, starts,
+                   lambda z: _scatter(e, jj, kk, _softmax(z)[None]), candidates)
 
+
+def _ascend(value_grad, starts, witness, candidates):
+    """(value, witness, exact, converged) of the best L-BFGS-B ascent of
+    value_grad(x) -> (value, gradient) from any start, with blocks
+    witness(x), or of an exact (value, witness, True) candidate.
+
+    An exact candidate is its own evidence; an optimizer result counts as
+    converged when some other result comes within 1e-6 of it.
+    """
     results = []
-    for z0 in starts:
+    for x0 in starts:
+        # resolved as a module global on every run, so that a wrapper set
+        # on this module from outside (a tracer) sees each solver call
         res = minimize(
-            lambda z: tuple(-v for v in value_grad(z)),
-            z0,
+            lambda x: tuple(-v for v in value_grad(x)),
+            x0,
             jac=True,
             method="L-BFGS-B",
             options={"maxiter": 400},
         )
         val, _ = value_grad(res.x)
-        results.append((val, [split(_softmax(res.x))], False))
-
-    return _pick_best(results, candidates)
-
-
-def _pick_best(results, candidates):
-    """(value, witness, exact, converged) of the best optimizer result or
-    exact candidate, each a (value, witness, exact) triple.
-
-    An exact candidate is its own evidence; an optimizer result counts as
-    converged when some other result comes within 1e-6 of it.
-    """
+        results.append((val, witness(res.x), False))
     results = sorted(results + candidates, key=lambda t: t[0], reverse=True)
     best_val, best, exact = results[0]
     near = sum(1 for v, _, _ in results if v >= best_val - 1e-6)
     return best_val, best, exact, exact or near >= 2
+
+
+def _random_starts(starts, target, size, rng, scales):
+    """Pad `starts` in place to `target` normal draws of length `size`,
+    the scale cycling through `scales` with the list position."""
+    while len(starts) < target:
+        starts.append(
+            rng.normal(scale=scales[len(starts) % len(scales)], size=size)
+        )
+
+
+def _scatter(e, jj, kk, rows):
+    """One matrix shaped like e per row of `rows`, the row placed on the
+    support cells (jj, kk) and zero elsewhere."""
+    blocks = np.zeros((len(rows), *e.shape))
+    blocks[:, jj, kk] = rows
+    return list(blocks)
 
 
 def _softmax(z, axis=None):
@@ -267,30 +273,6 @@ def _softmax(z, axis=None):
     out = np.exp(z)
     out /= out.sum(axis=axis, keepdims=True)
     return np.maximum(out, 1e-300)
-
-
-def _concentrated_candidate(p: ProbabilityMatrix, l0, l1, mu):
-    """Stationary point with one block per matrix cell (exact for mu > 1).
-
-    With block i concentrated on cell (j,k) the objective reduces to a
-    concave function of the weights whose maximum is a log-sum-exp.
-    """
-    e = p.entries
-    pr, pc = p.row_marginals, p.col_marginals
-    mask = e > 0
-    jj, kk = np.nonzero(mask)
-    ps = e[mask]
-    c = -l0 * np.log(pr[jj]) - l1 * np.log(pc[kk]) + np.log(ps)
-    logw = np.log(ps) + c / (mu - 1.0)
-    lse = float(np.logaddexp.reduce(logw))
-    val = (mu - 1.0) * lse
-    w = np.exp(logw - lse)
-    blocks = []
-    for t in range(ps.size):
-        b = np.zeros_like(e)
-        b[jj[t], kk[t]] = w[t]
-        blocks.append(b)
-    return val, blocks
 
 
 def _multi_block(p: ProbabilityMatrix, l0, l1, mu, n_starts, seed):
@@ -312,10 +294,8 @@ def _multi_block(p: ProbabilityMatrix, l0, l1, mu, n_starts, seed):
     lc = np.log(pc[kk])
     lp = np.log(ps)
 
-    row_onehot = np.zeros((n, b0))
-    row_onehot[np.arange(n), jj] = 1.0
-    col_onehot = np.zeros((n, b1))
-    col_onehot[np.arange(n), kk] = 1.0
+    row_onehot = np.eye(b0)[jj]
+    col_onehot = np.eye(b1)[kk]
 
     def value_grad(x):
         u = x[:nb]
@@ -348,52 +328,32 @@ def _multi_block(p: ProbabilityMatrix, l0, l1, mu, n_starts, seed):
         grad_z = q * (gq - np.sum(q * gq, axis=1, keepdims=True))
         return val, np.concatenate([grad_u, grad_z.ravel()])
 
-    conc_val, conc_blocks = _concentrated_candidate(p, l0, l1, mu)
-    candidates = [(0.0, [e.copy()], True), (conc_val, conc_blocks, True)]
+    # Exact candidates: a single block P (value 0) and the stationary point
+    # with block i concentrated on cell i, where the objective reduces to a
+    # concave function of the weights w maximized by a log-sum-exp.
+    logw = lp + (-l0 * lr - l1 * lc + lp) / (mu - 1.0)
+    lse = float(np.logaddexp.reduce(logw))
+    w = np.exp(logw - lse)
+    conc_blocks = _scatter(e, jj, kk, np.diag(w))
+    candidates = [(0.0, [e.copy()], True), ((mu - 1.0) * lse, conc_blocks, True)]
 
-    starts = []
     # Start at the concentrated stationary point.
     z0 = np.full((nb, n), 0.0)
     u0 = np.full(nb, -_VERTEX_LOGIT)
-    wc = np.array([b.sum() for b in conc_blocks])
     for i in range(min(nb, n)):
         z0[i, i] = _VERTEX_LOGIT
-        u0[i] = math.log(max(wc[i], 1e-300))
-    starts.append(np.concatenate([u0, z0.ravel()]))
-    starts.append(np.zeros(nb + nb * n))
-    rng = derive_rng(seed, "multi-block-starts")
+        u0[i] = math.log(max(w[i], 1e-300))
+    starts = [np.concatenate([u0, z0.ravel()]), np.zeros(nb + nb * n)]
     # larger alphabets need proportionally more random restarts
-    target = max(n_starts, 4 * nb)
-    scales = (0.5, 1.5, 3.0)
-    while len(starts) < target:
-        starts.append(
-            rng.normal(scale=scales[len(starts) % len(scales)], size=nb + nb * n)
-        )
+    _random_starts(starts, max(n_starts, 4 * nb), nb + nb * n,
+                   derive_rng(seed, "multi-block-starts"), (0.5, 1.5, 3.0))
 
-    results = []
-    for x0 in starts:
-        res = minimize(
-            lambda x: tuple(-v for v in value_grad(x)),
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 400},
-        )
-        val, _ = value_grad(res.x)
-        u = res.x[:nb]
-        z = res.x[nb:].reshape(nb, n)
-        w = _softmax(u)
-        q = _softmax(z, axis=1)
-        blocks = []
-        for i in range(nb):
-            if w[i] < 1e-12:
-                continue
-            b = np.zeros_like(e)
-            b[jj, kk] = w[i] * q[i]
-            blocks.append(b)
-        results.append((val, blocks, False))
+    def witness(x):
+        w = _softmax(x[:nb])
+        q = _softmax(x[nb:].reshape(nb, n), axis=1)
+        return _scatter(e, jj, kk, (w[:, None] * q)[w >= 1e-12])
 
-    return _pick_best(results, candidates)
+    return _ascend(value_grad, starts, witness, candidates)
 
 
 def _infinite_mu(p: ProbabilityMatrix, l0, l1, n_starts, seed):
@@ -415,21 +375,8 @@ def _infinite_mu(p: ProbabilityMatrix, l0, l1, n_starts, seed):
     lc = np.log(pc[kk])
     lp = np.log(ps)
 
-    def blocks_from(c):
-        r = ps[None, :] * c  # (nb, n)
-        out = []
-        for i in range(nb):
-            if r[i].sum() < 1e-12:
-                continue
-            b = np.zeros_like(e)
-            b[jj, kk] = r[i]
-            out.append(b)
-        return out
-
-    row_onehot = np.zeros((n, b0))
-    row_onehot[np.arange(n), jj] = 1.0
-    col_onehot = np.zeros((n, b1))
-    col_onehot[np.arange(n), kk] = 1.0
+    row_onehot = np.eye(b0)[jj]
+    col_onehot = np.eye(b1)[kk]
 
     def value_grad(zflat):
         z = zflat.reshape(nb, n)
@@ -456,32 +403,18 @@ def _infinite_mu(p: ProbabilityMatrix, l0, l1, n_starts, seed):
     # Exact candidates: a single block P (value 0) and the identity
     # splitting with one block per cell.
     ident = float(np.sum(ps * (np.log(ps) - l0 * lr - l1 * lc)))
-    id_blocks = []
-    for t in range(n):
-        b = np.zeros_like(e)
-        b[jj[t], kk[t]] = ps[t]
-        id_blocks.append(b)
+    id_blocks = _scatter(e, jj, kk, np.diag(ps))
     candidates = [(0.0, [e.copy()], True), (ident, id_blocks, True)]
 
-    starts = [np.eye(nb)[:, :n].reshape(nb, n).ravel() * _VERTEX_LOGIT]
-    starts.append(np.zeros(nb * n))
-    rng = derive_rng(seed, "inf-mu-starts")
-    while len(starts) < n_starts:
-        starts.append(rng.normal(scale=1.5, size=nb * n))
+    starts = [np.eye(nb).ravel() * _VERTEX_LOGIT, np.zeros(nb * n)]
+    _random_starts(starts, n_starts, nb * n,
+                   derive_rng(seed, "inf-mu-starts"), (1.5,))
 
-    results = []
-    for x0 in starts:
-        res = minimize(
-            lambda x: tuple(-v for v in value_grad(x)),
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 400},
-        )
-        val, _ = value_grad(res.x)
-        results.append((val, blocks_from(_softmax(res.x.reshape(nb, n), axis=0)), False))
+    def witness(x):
+        r = ps[None, :] * _softmax(x.reshape(nb, n), axis=0)
+        return _scatter(e, jj, kk, r[r.sum(axis=1) >= 1e-12])
 
-    return _pick_best(results, candidates)
+    return _ascend(value_grad, starts, witness, candidates)
 
 
 def info_numeric(
@@ -492,12 +425,18 @@ def info_numeric(
 ) -> InfoResult:
     """Numerically evaluate I(P, lambda0, lambda1, mu) with a witness.
 
-    Multi-start interior-point ascent over a softmax parametrization; for
+    Multi-start L-BFGS-B ascent over a softmax parametrization; for
     mu <= 1 the single-term form suffices, for mu > 1 the full b0*b1-block
     objective is maximized.  A maximum attained by an exact closed-form
     candidate counts as converged; otherwise non-convergence (no two starts
     agreeing with the maximum within 1e-6) is reported via converged=False,
     never raised.
+
+    n_starts is a floor, not a count: max(n_starts, 4 * support cells)
+    starts run for mu <= 1 (at mu = 0 the support is every cell with a
+    positive row and column marginal), max(n_starts, 4 * b0 * b1) for
+    1 < mu < infinity and max(n_starts, 2) at mu = infinity.  On a 2x2
+    matrix with full support, n_starts below 16 has no effect at finite mu.
     """
     l0, l1, mu = query.lambda0, query.lambda1, query.mu
     if math.isinf(mu):
@@ -591,6 +530,12 @@ def _frontier_sweep(p: ProbabilityMatrix, n_directions: int, tol: float):
     return tuple(pts)
 
 
+def _check_bound_args(n0, n1, s) -> None:
+    # written so that nan fails every comparison
+    if not (1 <= n0 < math.inf and 1 <= n1 < math.inf and 0 < s <= 1):
+        raise DomainError(f"need finite n0,n1 >= 1 and 0 < S <= 1, got {n0},{n1},{s}")
+
+
 def direct_lower_bound(
     p: ProbabilityMatrix,
     n0: float,
@@ -605,8 +550,7 @@ def direct_lower_bound(
     A coarse sweep only weakens the bound; every reported exponent pair is
     certified sub-conjugate, so the bound is always valid.
     """
-    if n0 < 1 or n1 < 1 or not 0 < s <= 1:
-        raise DomainError(f"need n0,n1 >= 1 and 0 < S <= 1, got {n0},{n1},{s}")
+    _check_bound_args(n0, n1, s)
     best = 0.0
     for l0, l1 in _frontier_sweep(p, n_directions, tol):
         best = max(best, n0**l0 * n1**l1)
@@ -621,8 +565,7 @@ def work_lower_bound(p_list, n0: float, n1: float, s: float,
     over l0,l1 <= 1 <= l0+l1 and mu >= 0, by grid search plus local
     refinement; mu is capped at 64 with an infinity sentinel.
     """
-    if not 0 < s <= 1:
-        raise DomainError(f"S={s} outside (0, 1]")
+    _check_bound_args(n0, n1, s)
     counts: dict[ProbabilityMatrix, int] = {}
     for p in p_list:
         counts[p] = counts.get(p, 0) + 1

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bucketing.errors import DomainError, MassError
+from bucketing.errors import DomainError, MassError, SupportViolation
 from bucketing.information import (
     InfoQuery,
     attainable_point,
@@ -113,11 +113,18 @@ class TestInfoNumeric:
 
     def test_witness_attains_value(self):
         # block_objective re-evaluates the definition at the witness, so
-        # agreement rules out optimizer overshoot
+        # agreement rules out optimizer overshoot; the 2x3 and zero-cell
+        # matrices place witness blocks on supports that are not the full
+        # square grid, and at mu = 0 the zero-cell witness sits on the zero
+        # cell itself
         rng = derive_rng(42, "wit")
-        for i in range(4):
-            p = random_matrix(rng, 2)
+        matrices = [random_matrix(rng, 2) for _ in range(4)] + [
+            make_matrix([[0.3, 0.1, 0.05], [0.05, 0.2, 0.3]]),
+            make_matrix([[0.2, 0.0], [0.4, 0.4]]),
+        ]
+        for p in matrices:
             for l0, l1, mu in (
+                (1.0, 1.0, 0.0), (0.7, 0.9, 0.0),
                 (0.7, 1.0, 0.5), (1.0, 0.6, 1.0), (0.8, 0.9, 2.0),
                 (1.0, 1.0, math.inf),
             ):
@@ -125,6 +132,9 @@ class TestInfoNumeric:
                 assert block_objective(p, res.witness, l0, l1, mu) == (
                     pytest.approx(res.value, abs=1e-7)
                 )
+        # only mu = 0 prices a block on a zero cell of P
+        with pytest.raises(SupportViolation):
+            block_objective(matrices[-1], [[[0.0, 1.0], [0.0, 0.0]]], 1.0, 1.0, 0.5)
 
     def test_grid_oracle_single_term(self):
         # dense simplex scan of the single-term objective (mu <= 1 regime)
@@ -310,10 +320,16 @@ class TestLowerBounds:
         assert b2 >= b1 > 0
 
     def test_direct_bound_validation(self):
-        with pytest.raises(DomainError):
-            direct_lower_bound(BERN9, 0.5, 10, 0.5)
-        with pytest.raises(DomainError):
-            direct_lower_bound(BERN9, 10, 10, 1.5)
+        # set sizes must be finite and >= 1 in both bounds, checked before
+        # any I evaluation
+        for n0, n1, s in (
+            (0.5, 10, 0.5), (10, 10, 1.5), (math.nan, 1000, 0.9),
+            (math.inf, 1000, 0.9), (1000, math.nan, 0.9), (0, 1000, 0.9),
+        ):
+            with pytest.raises(DomainError):
+                direct_lower_bound(BERN9, n0, n1, s)
+            with pytest.raises(DomainError):
+                work_lower_bound([BERN9], n0, n1, s)
 
     def test_work_bound_dominates_any_candidate(self):
         # the reported sup must be >= the (1,1,1) candidate computed here
