@@ -117,7 +117,8 @@ def _cmd_subconj(args, parser):
 def _cmd_bound(args, parser):
     p = _load_matrix(args, parser)
     direct = direct_lower_bound(p, args.n0, args.n1, args.S,
-                                n_directions=args.directions)
+                                n_directions=args.directions,
+                                n_starts=args.starts)
     wb = work_lower_bound([p] * args.blocks, args.n0, args.n1, args.S,
                           n_starts=args.starts)
     _emit(args, "\n".join([

@@ -22,8 +22,11 @@ from .errors import DimensionMismatch, DomainError, RoundingInfeasible, TooLarge
 from .probmodel import ProbabilityMatrix
 from .rng import derive_rng
 
-ENUMERATION_GUARD = 1 << 26  # max b0^d * b1^d pair states for exact success
+# max b0^d * b1^d pair states the exact-S sweep visits; it bounds the
+# sweep's time, since its memory is one row block
+ENUMERATION_GUARD = 1 << 26
 BUCKET_INDEX_GUARD = 1 << 20  # max materialized bucket count / DP table size
+_SHELL_SLICE = 1 << 22  # max points x centers entries per membership slice
 
 
 def _comb0(n: int, k: int) -> int:
@@ -218,9 +221,17 @@ class ShellCode(BucketingCode):
     side1_probs = side0_probs
 
     def membership(self, points, side):
-        offset = np.asarray(points) @ self._signs + self._shift
-        rows, buckets = np.nonzero(np.abs(offset) == 0.5)
-        return rows.astype(np.int64), buckets.astype(np.int64)
+        pts = np.asarray(points)
+        # slices of points keep the points x centers offset matrix near
+        # _SHELL_SLICE entries; a lone empty slice covers zero points
+        step = max(1, _SHELL_SLICE // max(self._T, 1))
+        rows, buckets = [], []
+        for start in range(0, max(len(pts), 1), step):
+            offset = pts[start:start + step] @ self._signs + self._shift
+            r, b = np.nonzero(np.abs(offset) == 0.5)
+            rows.append(r.astype(np.int64) + start)
+            buckets.append(b.astype(np.int64))
+        return np.concatenate(rows), np.concatenate(buckets)
 
     def descriptor(self):
         return {"kind": "shell", "d": self.d, "T": self._T, "seed": self.seed,
@@ -635,19 +646,31 @@ def _enumerate_states(b: int, d: int) -> np.ndarray:
 
 def _membership_matrix(code: BucketingCode, points: np.ndarray,
                        side: int) -> np.ndarray:
+    """(n, T) float32 0/1 matrix, ready for a matmul that counts shared
+    buckets."""
     if code.T > BUCKET_INDEX_GUARD:
         raise TooLarge(f"{code.T} buckets exceed the enumeration guard")
-    m = np.zeros((len(points), code.T), dtype=bool)
-    m[code.membership(points, side)] = True
+    m = np.zeros((len(points), code.T), dtype=np.float32)
+    m[code.membership(points, side)] = 1.0
     return m
+
+
+def _product_measure(p: ProbabilityMatrix, k: int) -> np.ndarray:
+    """P^{(x)k} as a (b0^k, b1^k) array, states in row-major order."""
+    out = np.ones((1, 1))
+    for _ in range(k):
+        out = np.kron(out, p.entries)
+    return out
 
 
 def code_success_exact(code: BucketingCode, p: ProbabilityMatrix) -> float:
     """Exact planted-pair success probability S.
 
     Uses the code's closed form when available, otherwise sweeps the full
-    (x0, x1) state space (guarded at 2^26 pair states) and sums the product
-    measure over co-bucketed pairs.
+    (x0, x1) state space and sums the product measure over co-bucketed
+    pairs.  The guard (2^26 pair states) bounds the sweep's time; its
+    memory is one row block of b0^(d - d//2) side-0 states against all
+    side-1 states, never the b0^d x b1^d pair array.
     """
     closed = code.success_exact(p)
     if closed is not None:
@@ -658,15 +681,23 @@ def code_success_exact(code: BucketingCode, p: ProbabilityMatrix) -> float:
         raise TooLarge(
             f"{b0}^{d} * {b1}^{d} pair states exceed the enumeration guard"
         )
-    pts0 = _enumerate_states(b0, d)
-    pts1 = _enumerate_states(b1, d)
-    m0 = _membership_matrix(code, pts0, 0)
-    m1 = _membership_matrix(code, pts1, 1)
-    joint = np.ones((1, 1))
-    for _ in range(d):
-        joint = np.kron(joint, p.entries)
-    co = (m0.astype(np.float32) @ m1.astype(np.float32).T) > 0
-    return float(joint[co].sum())
+    m0 = _membership_matrix(code, _enumerate_states(b0, d), 0)
+    m1 = _membership_matrix(code, _enumerate_states(b1, d), 1)
+    # a state is x = (u, v) with u its h slowest coordinates, so the pair
+    # measure factors as P^{(x)h}[u, u'] * P^{(x)(d-h)}[v, v']; one block
+    # fixes u and sums over (v, u', v')
+    h = d // 2
+    a = _product_measure(p, h)
+    b = _product_measure(p, d - h)
+    nv, nv1 = b.shape
+    total = 0.0
+    for u, a_row in enumerate(a):
+        co = (m0[u * nv:(u + 1) * nv] @ m1.T) > 0
+        # summing over v' and then over v keeps every float sum short; one
+        # flat contraction over (v, v') had 10x the rounding error at d = 12
+        co = co.reshape(nv, len(a_row), nv1)
+        total += a_row @ np.matmul(co, b[:, :, None]).sum(axis=(0, 2))
+    return float(total)
 
 
 def code_from_descriptor(desc: dict) -> BucketingCode:

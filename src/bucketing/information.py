@@ -521,11 +521,13 @@ def subconjugate_frontier(
 
 
 @lru_cache(maxsize=4096)
-def _frontier_sweep(p: ProbabilityMatrix, n_directions: int, tol: float):
+def _frontier_sweep(p: ProbabilityMatrix, n_directions: int, tol: float,
+                    n_starts: int):
     pts = [(1.0, 0.0), (0.0, 1.0)]
     for theta in np.linspace(0.0, math.pi / 2, n_directions)[1:-1]:
         pts.append(
-            subconjugate_frontier(p, (math.cos(theta), math.sin(theta)), tol=tol)
+            subconjugate_frontier(p, (math.cos(theta), math.sin(theta)),
+                                  tol=tol, n_starts=n_starts)
         )
     return tuple(pts)
 
@@ -543,16 +545,18 @@ def direct_lower_bound(
     s: float,
     n_directions: int = 64,
     tol: float = 1e-4,
+    n_starts: int = 12,
 ) -> float:
     """Lower bound on W: S * max over certified sub-conjugate (l0, l1)
     of n0^l0 n1^l1, swept over a fan of frontier directions.
 
     A coarse sweep only weakens the bound; every reported exponent pair is
-    certified sub-conjugate, so the bound is always valid.
+    certified sub-conjugate, so the bound is always valid.  n_starts is
+    the start floor of every frontier I solve (see info_numeric).
     """
     _check_bound_args(n0, n1, s)
     best = 0.0
-    for l0, l1 in _frontier_sweep(p, n_directions, tol):
+    for l0, l1 in _frontier_sweep(p, n_directions, tol, n_starts):
         best = max(best, n0**l0 * n1**l1)
     return s * best
 

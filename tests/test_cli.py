@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from bucketing import cli, information
 from bucketing.cli import dispatch
 from bucketing.probmodel import make_matrix
 
@@ -86,6 +87,28 @@ class TestSubcommands:
         assert code == 0
         assert "subconjugate false" in out
         assert "witness" in out
+
+    def test_bound_starts_reach_frontier(self, monkeypatch, capsys):
+        information._info_cached.cache_clear()
+        information._frontier_sweep.cache_clear()
+        real = information.subconjugate_frontier
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("n_starts"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(information, "subconjugate_frontier", spy)
+        # the work_lower_bound grid would cost hundreds of 40-start solves
+        monkeypatch.setattr(cli, "work_lower_bound", lambda *a, **k:
+                            information.WorkBound(0.0, 1.0, 1.0, 1.0))
+        code, _, _ = run_cli(
+            ["bound", "--p", "0.9", "--n0", "1000", "--n1", "1000",
+             "--S", "0.9", "--directions", "3", "--starts", "40"],
+            capsys,
+        )
+        assert code == 0
+        assert seen == [40]
 
     def test_conjecture_clean(self, capsys):
         code, out, _ = run_cli(

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +50,20 @@ def dense(code, pts, side):
     m = np.zeros((len(pts), code.T), dtype=bool)
     m[code.membership(pts, side)] = True
     return m
+
+
+def kron_success(code, P):
+    """Reference S for d <= 6: the dense P^(x)d pair measure summed over
+    every co-bucketed (x0, x1) state pair."""
+    states0, states1 = (
+        np.array(list(itertools.product(range(b), repeat=code.d)), np.uint8)
+        for b in (P.rows, P.cols)
+    )
+    joint = np.ones((1, 1))
+    for _ in range(code.d):
+        joint = np.kron(joint, P.entries)
+    co = dense(code, states0, 0).astype(int) @ dense(code, states1, 1).T > 0
+    return float(joint[co].sum())
 
 
 ALL_POINTS_6 = ((np.arange(64)[:, None] >> np.arange(6)) & 1).astype(np.uint8)
@@ -160,6 +176,19 @@ class TestShellCode:
             for t in range(4):
                 agree = int((x == code.centers[t]).sum())
                 assert (t in buckets[rows == i]) == (agree in (2, 3))
+
+    def test_membership_slices_match_agreement_rule(self):
+        # 2^22 entries per slice / 2^16 centers: 300 points in 5 slices
+        d, d0 = 16, 3
+        code = shell_code(d, d0, 1 << 16, seed=5)
+        pts = np.random.default_rng(4).integers(0, 2, (300, d), dtype=np.uint8)
+        rows, buckets = code.membership(pts, 0)
+        assert np.all(np.diff(rows * code.T + buckets) > 0)
+        ends = np.searchsorted(rows, np.arange(len(pts) + 1))
+        for i, x in enumerate(pts):
+            agree = (code.centers == x).sum(axis=1)
+            expected = np.flatnonzero((agree == d0 - 1) | (agree == d0))
+            assert np.array_equal(buckets[ends[i]:ends[i + 1]], expected)
 
 
 class TestClassicalCode:
@@ -339,6 +368,41 @@ class TestCombinators:
         assert code_success_exact(full_space_code(4), self.P) == 1.0
         assert code_success_exact(empty_code(4), self.P) == 0.0
         assert code_work(full_space_code(4), 10, 20) == 200.0
+
+
+RECT = make_matrix([[0.3, 0.1, 0.1], [0.1, 0.2, 0.2]])
+HALVES = [RECT.entries * 0.5] * 2  # two blocks, so permutations matter
+BERN = bernoulli_matrix(0.85)
+
+
+class TestExactSweep:
+    @pytest.mark.parametrize("code, P", [
+        (typeclass_code(RECT, 4, HALVES, seed=1, T=3), RECT),
+        (typeclass_code(RECT, 5, HALVES, seed=2, T=3), RECT),
+        (typeclass_code(RECT, 1, [RECT.entries], seed=0, T=1), RECT),
+        (shell_code(5, 3, 3, seed=2), BERN),
+        (classical_code(1, 1, 1, seed=0), BERN),
+        (concatenate(shell_code(6, 3, 3, seed=1), classical_code(6, 2, 2, 2),
+                     "union"), BERN),
+        (concatenate(typeclass_code(RECT, 4, HALVES, seed=1, T=2),
+                     typeclass_code(RECT, 4, HALVES, seed=2, T=2),
+                     "union"), RECT),
+    ], ids=["typeclass-2x3-d4", "typeclass-2x3-d5", "typeclass-2x3-d1",
+            "shell-d5", "classical-d1", "union", "union-2x3"])
+    def test_matches_pair_enumeration(self, code, P):
+        assert code.success_exact(P) is None  # no closed form to fall to
+        assert abs(code_success_exact(code, P) - kron_success(code, P)) <= 1e-14
+
+    def test_memory_is_one_row_block(self):
+        code, P = shell_code(12, 7, 13, seed=3), bernoulli_matrix(0.9)
+        tracemalloc.start()
+        try:
+            code_success_exact(code, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 4096 x 4096 pair arrays alone would take 128 MiB
+        assert peak < 16 * 2**20
 
 
 class TestGuardsAndDescriptors:
