@@ -116,11 +116,12 @@ def _cmd_subconj(args, parser):
 
 def _cmd_bound(args, parser):
     p = _load_matrix(args, parser)
+    # first, so that an empty block list fails before any frontier solve
+    wb = work_lower_bound([p] * args.blocks, args.n0, args.n1, args.S,
+                          n_starts=args.starts)
     direct = direct_lower_bound(p, args.n0, args.n1, args.S,
                                 n_directions=args.directions,
                                 n_starts=args.starts)
-    wb = work_lower_bound([p] * args.blocks, args.n0, args.n1, args.S,
-                          n_starts=args.starts)
     _emit(args, "\n".join([
         f"direct_work_bound {direct!r}",
         f"ln_work_bound {wb.ln_w!r}",
@@ -256,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n1", type=float, required=True)
     sp.add_argument("--S", type=float, default=0.5)
     sp.add_argument("--blocks", type=int, default=1,
-                    help="number of i.i.d. coordinate blocks")
+                    help="number of i.i.d. coordinate blocks (at least 1)")
     sp.add_argument("--directions", type=int, default=64)
     _add_starts_flag(sp, 16)
     sp.add_argument("--out", default=None)

@@ -8,7 +8,9 @@ of divergence terms and is not concave.  Each of the three regimes (mu <= 1,
 objective, exact closed-form candidates (vertices, the identity split, the
 concentrated-block stationary point) and deterministic starts; one driver,
 `_ascend`, runs L-BFGS-B from every start and keeps the best of the local
-maxima and the candidates.
+maxima and the candidates.  The best candidate alone, `info_floor`, is a
+solve-free lower bound on I that lets the frontier bisection and the work
+bound's search skip points that cannot change their answer.
 """
 
 from __future__ import annotations
@@ -173,14 +175,74 @@ def block_objective(p: ProbabilityMatrix, blocks, lambda0: float,
     return val + (1.0 - mu) * k_mix
 
 
+def _support(p: ProbabilityMatrix, mu: float):
+    """Cells (jj, kk) and masses ps that the regime at mu optimizes over:
+    every cell with a positive row and column marginal at mu = 0, the
+    positive cells of P otherwise."""
+    e = p.entries
+    if mu == 0:
+        support = np.outer(p.row_marginals > 0, p.col_marginals > 0)
+    else:
+        support = e > 0
+    jj, kk = np.nonzero(support)
+    return jj, kk, e[support]
+
+
+def _candidates(p: ProbabilityMatrix, l0: float, l1: float, mu: float):
+    """Exact (value, blocks, True) candidates of the regime at mu, in the
+    order the solver ranks them, and the concentrated-point weights w
+    (None outside 1 < mu < infinity).
+
+    The single block P (value 0) comes first.  Then, for mu <= 1, every
+    vertex of the simplex over the support; for 1 < mu < infinity, the
+    stationary point with block i concentrated on cell i, where the
+    objective reduces to a concave function of the weights maximized by a
+    log-sum-exp; at mu = infinity, the identity split with one block per
+    cell.
+    """
+    e = p.entries
+    pr, pc = p.row_marginals, p.col_marginals
+    jj, kk, ps = _support(p, mu)
+    out = [(0.0, [e.copy()], True)]
+    if mu <= 1:
+        vertices = _scatter(e, jj, kk, np.eye(ps.size))
+        for t in range(ps.size):
+            v = (l0 * math.log(1.0 / pr[jj[t]])
+                 + l1 * math.log(1.0 / pc[kk[t]]))
+            if mu > 0:
+                v -= mu * math.log(1.0 / ps[t])
+            out.append((v, [vertices[t]], True))
+        return out, None
+    lr, lc, lp = np.log(pr[jj]), np.log(pc[kk]), np.log(ps)
+    if math.isinf(mu):
+        ident = float(np.sum(ps * (lp - l0 * lr - l1 * lc)))
+        out.append((ident, _scatter(e, jj, kk, np.diag(ps)), True))
+        return out, None
+    logw = lp + (-l0 * lr - l1 * lc + lp) / (mu - 1.0)
+    lse = float(np.logaddexp.reduce(logw))
+    w = np.exp(logw - lse)
+    out.append(((mu - 1.0) * lse, _scatter(e, jj, kk, np.diag(w)), True))
+    return out, w
+
+
+def info_floor(p: ProbabilityMatrix, query: InfoQuery) -> float:
+    """Best exact candidate value of I at query, at least 0, without a solve.
+
+    info_numeric keeps the best of its local maxima and these candidates,
+    so as floats info_floor(p, query) <= info_numeric(p, query).value for
+    every start count and seed, with equality when a candidate wins
+    (method "closed_form").
+    """
+    cands, _ = _candidates(p, query.lambda0, query.lambda1, query.mu)
+    return max(v for v, _, _ in cands)
+
+
 def _single_term(p: ProbabilityMatrix, l0: float, l1: float, mu: float,
                  n_starts: int, seed: int):
     """Maximize l0 K(Q_row) + l1 K(Q_col) - mu K(Q||P) over prob matrices."""
     e = p.entries
     pr, pc = p.row_marginals, p.col_marginals
-    support = np.outer(pr > 0, pc > 0) if mu == 0 else e > 0
-    jj, kk = np.nonzero(support)
-    ps = e[support]
+    jj, kk, ps = _support(p, mu)
     b0, b1 = e.shape
     n = ps.size
 
@@ -204,15 +266,6 @@ def _single_term(p: ProbabilityMatrix, l0: float, l1: float, mu: float,
         grad_z = q * (g - np.dot(q, g))
         return val, grad_z
 
-    # Exact candidates: Q = P (value 0) and every vertex of the simplex.
-    candidates = [(0.0, [e.copy()], True)]
-    vertices = _scatter(e, jj, kk, np.eye(n))
-    for t in range(n):
-        v = l0 * math.log(1.0 / pr[jj[t]]) + l1 * math.log(1.0 / pc[kk[t]])
-        if mu > 0:
-            v -= mu * math.log(1.0 / ps[t])
-        candidates.append((v, [vertices[t]], True))
-
     starts = ([np.log(ps)] if mu > 0 else []) + [np.zeros(n)]
     starts.extend(np.eye(n)[:4] * (_VERTEX_LOGIT / 2))
     # larger supports carve up the landscape into more basins; scale the
@@ -220,7 +273,8 @@ def _single_term(p: ProbabilityMatrix, l0: float, l1: float, mu: float,
     _random_starts(starts, max(n_starts, 4 * n), n,
                    derive_rng(seed, "single-term-starts"), (0.5, 1.5, 3.0))
     return _ascend(value_grad, starts,
-                   lambda z: _scatter(e, jj, kk, _softmax(z)[None]), candidates)
+                   lambda z: _scatter(e, jj, kk, _softmax(z)[None]),
+                   _candidates(p, l0, l1, mu)[0])
 
 
 def _ascend(value_grad, starts, witness, candidates):
@@ -283,9 +337,7 @@ def _multi_block(p: ProbabilityMatrix, l0, l1, mu, n_starts, seed):
     """
     e = p.entries
     pr, pc = p.row_marginals, p.col_marginals
-    mask = e > 0
-    jj, kk = np.nonzero(mask)
-    ps = e[mask]
+    jj, kk, ps = _support(p, mu)
     b0, b1 = e.shape
     n = ps.size
     nb = b0 * b1
@@ -328,14 +380,7 @@ def _multi_block(p: ProbabilityMatrix, l0, l1, mu, n_starts, seed):
         grad_z = q * (gq - np.sum(q * gq, axis=1, keepdims=True))
         return val, np.concatenate([grad_u, grad_z.ravel()])
 
-    # Exact candidates: a single block P (value 0) and the stationary point
-    # with block i concentrated on cell i, where the objective reduces to a
-    # concave function of the weights w maximized by a log-sum-exp.
-    logw = lp + (-l0 * lr - l1 * lc + lp) / (mu - 1.0)
-    lse = float(np.logaddexp.reduce(logw))
-    w = np.exp(logw - lse)
-    conc_blocks = _scatter(e, jj, kk, np.diag(w))
-    candidates = [(0.0, [e.copy()], True), ((mu - 1.0) * lse, conc_blocks, True)]
+    candidates, w = _candidates(p, l0, l1, mu)
 
     # Start at the concentrated stationary point.
     z0 = np.full((nb, n), 0.0)
@@ -364,9 +409,7 @@ def _infinite_mu(p: ProbabilityMatrix, l0, l1, n_starts, seed):
     """
     e = p.entries
     pr, pc = p.row_marginals, p.col_marginals
-    mask = e > 0
-    jj, kk = np.nonzero(mask)
-    ps = e[mask]
+    jj, kk, ps = _support(p, math.inf)
     b0, b1 = e.shape
     n = ps.size
     nb = n
@@ -400,11 +443,7 @@ def _infinite_mu(p: ProbabilityMatrix, l0, l1, n_starts, seed):
         grad_z = ps[None, :] * c * (g - np.sum(c * g, axis=0, keepdims=True))
         return val, grad_z.ravel()
 
-    # Exact candidates: a single block P (value 0) and the identity
-    # splitting with one block per cell.
-    ident = float(np.sum(ps * (np.log(ps) - l0 * lr - l1 * lc)))
-    id_blocks = _scatter(e, jj, kk, np.diag(ps))
-    candidates = [(0.0, [e.copy()], True), (ident, id_blocks, True)]
+    candidates, _ = _candidates(p, l0, l1, math.inf)
 
     starts = [np.eye(nb).ravel() * _VERTEX_LOGIT, np.zeros(nb * n)]
     _random_starts(starts, n_starts, nb * n,
@@ -490,7 +529,9 @@ def subconjugate_frontier(
 
     Scales t*(a0, a1), clips each coordinate at 1, and bisects for the
     largest t that is still certified sub-conjugate.  The scan starts at
-    lambda0+lambda1 = 1 which is sub-conjugate for every P.
+    lambda0+lambda1 = 1 which is sub-conjugate for every P.  A point whose
+    info_floor already exceeds subconj_tol is rejected without an I solve;
+    the result is the same as with the solve.
     """
     a0, a1 = float(direction[0]), float(direction[1])
     if a0 < 0 or a1 < 0 or a0 + a1 == 0:
@@ -501,6 +542,9 @@ def subconjugate_frontier(
 
     def ok(t):
         l0, l1 = lam(t)
+        # I >= info_floor, so a floor above the tolerance settles it unsolved
+        if info_floor(p, InfoQuery(l0, l1, 1.0)) > subconj_tol:
+            return False
         return _info_cached(p, l0, l1, 1.0, n_starts) <= subconj_tol
 
     if a0 == 0:
@@ -567,18 +611,34 @@ def work_lower_bound(p_list, n0: float, n1: float, s: float,
 
     ln W >= sup [l0 ln n0 + l1 ln n1 + mu ln S - sum_i I(P_i, l0, l1, mu)]
     over l0,l1 <= 1 <= l0+l1 and mu >= 0, by grid search plus local
-    refinement; mu is capped at 64 with an infinity sentinel.
+    refinement; mu is capped at 64 with an infinity sentinel.  A grid or
+    refinement point is solved only when the objective with info_floor in
+    place of I, an upper bound on it, could beat the incumbent; skipped
+    points could never have been accepted, so the result is the same as
+    solving everywhere.  p_list must hold at least one matrix.
     """
     _check_bound_args(n0, n1, s)
     counts: dict[ProbabilityMatrix, int] = {}
     for p in p_list:
         counts[p] = counts.get(p, 0) + 1
+    if not counts:
+        raise DomainError("p_list is empty: the bound needs a matrix")
     ln0, ln1, lns = math.log(n0), math.log(n1), math.log(s)
 
-    def objective(l0, l1, mu):
+    def objective(l0, l1, mu, beat):
+        """The objective at (l0, l1, mu), or -inf without solving when it
+        cannot exceed `beat`: info_floor <= I and float rounding is
+        monotone, so the objective with floors in place of I is at least
+        the solved one."""
         if math.isinf(mu) and lns < 0:
             return -math.inf
-        val = l0 * ln0 + l1 * ln1 + (0.0 if math.isinf(mu) else mu * lns)
+        base = l0 * ln0 + l1 * ln1 + (0.0 if math.isinf(mu) else mu * lns)
+        ub = base
+        for p, c in counts.items():
+            ub -= c * info_floor(p, InfoQuery(l0, l1, mu))
+        if ub <= beat:
+            return -math.inf
+        val = base
         for p, c in counts.items():
             val -= c * _info_cached(p, l0, l1, mu, n_starts)
         return val
@@ -592,7 +652,7 @@ def work_lower_bound(p_list, n0: float, n1: float, s: float,
             if l0 + l1 < 1.0 - 1e-12:
                 continue
             for mu in mu_grid:
-                v = objective(l0, l1, mu)
+                v = objective(l0, l1, mu, best[0])
                 if v > best[0]:
                     best = (v, l0, l1, mu)
 
@@ -612,7 +672,7 @@ def work_lower_bound(p_list, n0: float, n1: float, s: float,
                 cm = min(max(mu + dmu, 0.0), 64.0)
                 if c0 + c1 < 1.0:
                     continue
-                cv = objective(c0, c1, cm)
+                cv = objective(c0, c1, cm, v + 1e-12)
                 if cv > v + 1e-12:
                     v, l0, l1, mu = cv, c0, c1, cm
                     improved = True

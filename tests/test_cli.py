@@ -110,6 +110,39 @@ class TestSubcommands:
         assert code == 0
         assert seen == [40]
 
+    def test_bound_golden_output(self, tmp_path, capsys):
+        out_path = tmp_path / "bound.txt"
+        code, _, _ = run_cli(
+            ["bound", "--p", "0.9", "--n0", "1000", "--n1", "1000",
+             "--S", "0.9", "--directions", "5", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        lines = out_path.read_text().splitlines()
+        assert lines[0].startswith("# config ")
+        assert lines[1:] == [
+            "direct_work_bound 1938.6279174805773",
+            "ln_work_bound 13.122363377404328",
+            "at_lambda0 1.0",
+            "at_lambda1 1.0",
+            "at_mu 1.0",
+        ]
+
+    @pytest.mark.parametrize("blocks", ["0", "-3"])
+    def test_bound_needs_a_block(self, blocks, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("I solved for an empty block list")
+
+        monkeypatch.setattr(information, "info_numeric", no_solve)
+        code, out, err = run_cli(
+            ["bound", "--p", "0.9", "--n0", "1000", "--n1", "1000",
+             "--S", "0.9", "--blocks", blocks],
+            capsys,
+        )
+        assert code == 1
+        assert "error" in err
+        assert out == ""
+
     def test_conjecture_clean(self, capsys):
         code, out, _ = run_cli(
             ["conjecture", "--p-grid", "0.6:0.8:0.1", "--resolution", "12"],

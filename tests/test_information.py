@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bucketing import information
 from bucketing.errors import DomainError, MassError, SupportViolation
 from bucketing.information import (
     InfoQuery,
@@ -14,6 +15,7 @@ from bucketing.information import (
     conjecture_scan,
     direct_lower_bound,
     info_closed_form,
+    info_floor,
     info_numeric,
     is_subconjugate,
     subconjugate_frontier,
@@ -211,6 +213,31 @@ class TestInfoNumeric:
         assert res.value == pytest.approx(mutual_information(BERN9), abs=1e-15)
         assert res.converged
 
+    def test_floor_is_sound(self):
+        # info_floor is the best exact candidate, which the solvers also rank,
+        # so it never exceeds the solved value and equals it when a
+        # candidate wins
+        matrices = [
+            SKEW,
+            make_matrix([[0.2, 0.0], [0.4, 0.4]]),
+            make_matrix([[0.3, 0.1, 0.05], [0.05, 0.2, 0.3]]),
+            tensor(SKEW, BERN9),
+        ]
+        positive = 0
+        for p in matrices:
+            for mu in (0.0, 0.5, 1.0, 2.0, 8.0, math.inf):
+                if p.entries.size == 16 and 1 < mu < math.inf:
+                    continue  # the 4x4 multi-block solve costs seconds
+                for l0, l1 in ((1.0, 1.0), (0.7, 0.9), (1.0, 0.2), (0.3, 0.8)):
+                    query = InfoQuery(l0, l1, mu)
+                    floor = info_floor(p, query)
+                    res = info_numeric(p, query, n_starts=8)
+                    assert floor <= res.value
+                    if res.method == "closed_form":
+                        assert floor == res.value
+                    positive += floor > 0
+        assert positive > 0
+
     def test_result_json(self):
         res = info_numeric(BERN9, InfoQuery(1.0, 1.0, 2.0), n_starts=4)
         rec = json.loads(res.to_json(InfoQuery(1.0, 1.0, 2.0)))
@@ -319,9 +346,13 @@ class TestLowerBounds:
         b2 = direct_lower_bound(BERN9, 1000, 100, 0.5, n_directions=16)
         assert b2 >= b1 > 0
 
-    def test_direct_bound_validation(self):
-        # set sizes must be finite and >= 1 in both bounds, checked before
-        # any I evaluation
+    def test_direct_bound_validation(self, monkeypatch):
+        # set sizes must be finite and >= 1 in both bounds, and the work
+        # bound needs at least one matrix, checked before any I evaluation
+        def no_solve(*args, **kwargs):
+            raise AssertionError("I solved before the arguments were checked")
+
+        monkeypatch.setattr(information, "info_numeric", no_solve)
         for n0, n1, s in (
             (0.5, 10, 0.5), (10, 10, 1.5), (math.nan, 1000, 0.9),
             (math.inf, 1000, 0.9), (1000, math.nan, 0.9), (0, 1000, 0.9),
@@ -330,6 +361,8 @@ class TestLowerBounds:
                 direct_lower_bound(BERN9, n0, n1, s)
             with pytest.raises(DomainError):
                 work_lower_bound([BERN9], n0, n1, s)
+        with pytest.raises(DomainError):
+            work_lower_bound([], 1000, 1000, 0.9)
 
     def test_work_bound_dominates_any_candidate(self):
         # the reported sup must be >= the (1,1,1) candidate computed here
@@ -343,6 +376,21 @@ class TestLowerBounds:
         )
         assert wb.ln_w >= candidate - 1e-6
         assert wb.lambda0 <= 1.0 + 1e-12 and wb.lambda1 <= 1.0 + 1e-12
+
+    def test_work_bound_skips_unwinnable_solves(self, monkeypatch):
+        # one solve per finite-mu grid point would be 336; points whose
+        # exact-candidate floor cannot beat the incumbent are not solved.
+        # No other test uses p = 0.87, so the I cache holds none of its values
+        real = information.info_numeric
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(information, "info_numeric", counting)
+        work_lower_bound([bernoulli_matrix(0.87)], 1000, 1000, 0.9)
+        assert len(calls) < 150
 
 
 class TestConjectureScan:
