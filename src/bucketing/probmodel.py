@@ -19,6 +19,7 @@ from .errors import (
     NotNormalized,
     OutOfRange,
     SupportViolation,
+    TooLarge,
 )
 from .rng import derive_rng
 
@@ -187,6 +188,14 @@ def mutual_information(p: ProbabilityMatrix) -> float:
     return float(np.sum(p.entries[mask] * np.log(p.entries[mask] / outer[mask])))
 
 
+def _draw(rng: np.random.Generator, probs: np.ndarray, shape) -> np.ndarray:
+    """Indices drawn i.i.d. from `probs`: the draws of
+    rng.choice(len(probs), shape, p=probs), without its per-call checks."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(shape), side="right")
+
+
 def generate_dataset(
     p: ProbabilityMatrix, d: int, n0: int, n1: int, seed: int
 ) -> DatasetPair:
@@ -196,18 +205,19 @@ def generate_dataset(
     planted pair's coordinates are drawn jointly from P, and the planted
     indices are uniform on the n0 x n1 grid.  Sub-streams are derived
     statelessly from (seed, purpose), so the four sampling steps are
-    mutually independent.
+    mutually independent.  Points are stored as uint8, so P may have at
+    most 256 rows and 256 columns (TooLarge otherwise).
     """
     if d < 1 or n0 < 1 or n1 < 1:
         raise OutOfRange(f"d={d}, n0={n0}, n1={n1} must all be >= 1")
-    x0 = derive_rng(seed, "x0").choice(p.rows, size=(n0, d), p=p.row_marginals)
-    x1 = derive_rng(seed, "x1").choice(p.cols, size=(n1, d), p=p.col_marginals)
+    if max(p.rows, p.cols) > 256:
+        raise TooLarge(f"a {p.rows}x{p.cols} matrix has symbols beyond uint8")
+    x0 = _draw(derive_rng(seed, "x0"), p.row_marginals, (n0, d))
+    x1 = _draw(derive_rng(seed, "x1"), p.col_marginals, (n1, d))
     idx_rng = derive_rng(seed, "planted_index")
     i0 = int(idx_rng.integers(n0))
     i1 = int(idx_rng.integers(n1))
-    cells = derive_rng(seed, "planted_pair").choice(
-        p.rows * p.cols, size=d, p=p.entries.ravel()
-    )
+    cells = _draw(derive_rng(seed, "planted_pair"), p.entries.ravel(), d)
     x0 = x0.astype(np.uint8)
     x1 = x1.astype(np.uint8)
     x0[i0] = cells // p.cols

@@ -24,7 +24,7 @@ from .rng import derive_rng
 CSV_FIELDS = [
     "experiment_id", "kind", "d", "d0", "p", "n0", "n1", "T", "trials",
     "empirical_S", "ci", "predicted_S", "mean_comparisons", "predicted_W",
-    "seed",
+    "seed", "successes", "mean_lookups",
 ]
 
 
@@ -57,8 +57,34 @@ class ExponentRow:
     limit_ln_T_over_d: float
 
 
+# max sampled points per side in one chunk of trials; stream derivation
+# bounds the loop's speed from 2^6 points up, while the heap that a chunk's
+# temporaries leave behind adds to peak RSS from 2^10 points up
+_TRIAL_CHUNK = 1 << 8
+
+
 def _trial_seed(seed: int, t: int) -> int:
     return int(derive_rng(seed, "trial", t).integers(1 << 62))
+
+
+def _chunk_memberships(code: BucketingCode, points: list, side: int):
+    """Memberships of a chunk's trials as (rows, keys), rows stacked trial
+    after trial and keys = trial * code.T + bucket; a lone trial keeps its
+    points and raw bucket ids."""
+    if len(points) == 1:
+        return code.membership(points[0], side)
+    n = len(points[0])
+    rows, ids = code.membership(np.concatenate(points), side)
+    return rows, rows // n * code.T + ids
+
+
+def _planted_keys(rows: np.ndarray, keys: np.ndarray,
+                  planted: list) -> np.ndarray:
+    """The keys of each planted row, found by bisection on the sorted rows."""
+    lo = np.searchsorted(rows, planted)
+    count = np.searchsorted(rows, planted, side="right") - lo
+    first = np.repeat(lo - np.cumsum(count) + count, count)
+    return keys[first + np.arange(count.sum())]
 
 
 def run_experiment(
@@ -72,31 +98,45 @@ def run_experiment(
 ) -> ExperimentResult:
     """Estimate S and operation counts over `trials` independent datasets.
 
-    Each trial draws a fresh dataset from its own derived sub-stream, so the
+    Each trial draws a fresh dataset from its own derived sub-streams, so the
     result is a pure function of the arguments.  Lookups count bucket
     memberships over all points; comparisons count co-bucketed point pairs
-    summed over buckets, sum_t |B0_t & X0| |B1_t & X1|.
+    summed over buckets, sum_t |B0_t & X0| |B1_t & X1|.  Trials are sampled
+    one by one and counted in chunks: a chunk's points take one membership
+    call per side, and its memberships are told apart by trial-offset bucket
+    keys.  Chunking changes no sample and no count.
     """
     if trials < 1:
         raise DomainError(f"trials={trials} must be >= 1")
     if d != code.d:
         raise DimensionMismatch(f"dataset d={d} but code has d={code.d}")
+    # keys trial * T + bucket of a chunk must fit in int64
+    per_chunk = max(1, min(_TRIAL_CHUNK // max(n0, n1),
+                           np.iinfo(np.int64).max // max(code.T, 1)))
     successes = 0
     comparisons = 0.0
     lookups = 0.0
-    for t in range(trials):
-        ds = generate_dataset(p, d, n0, n1, _trial_seed(seed, t))
-        rows0, ids0 = code.membership(ds.x0_points, 0)
-        rows1, ids1 = code.membership(ds.x1_points, 1)
-        lookups += ids0.size + ids1.size
+    for first in range(0, trials, per_chunk):
+        x0, x1, planted0, planted1 = [], [], [], []
+        for t in range(first, min(first + per_chunk, trials)):
+            ds = generate_dataset(p, d, n0, n1, _trial_seed(seed, t))
+            x0.append(ds.x0_points)
+            x1.append(ds.x1_points)
+            planted0.append((t - first) * n0 + ds.planted[0])
+            planted1.append((t - first) * n1 + ds.planted[1])
+        rows0, keys0 = _chunk_memberships(code, x0, 0)
+        rows1, keys1 = _chunk_memberships(code, x1, 1)
+        lookups += keys0.size + keys1.size
         # each side-1 membership meets every side-0 point of its bucket
-        sorted0 = np.sort(ids0)
-        comparisons += int(np.sum(np.searchsorted(sorted0, ids1, side="right")
-                                  - np.searchsorted(sorted0, ids1)))
-        i0, i1 = ds.planted
-        if np.intersect1d(ids0[rows0 == i0], ids1[rows1 == i1],
-                          assume_unique=True).size:
-            successes += 1
+        sorted0 = np.sort(keys0)
+        comparisons += int(np.sum(np.searchsorted(sorted0, keys1, side="right")
+                                  - np.searchsorted(sorted0, keys1)))
+        # a trial succeeds iff its planted points share a key; the trial
+        # of a shared key is key // T
+        shared = np.intersect1d(_planted_keys(rows0, keys0, planted0),
+                                _planted_keys(rows1, keys1, planted1),
+                                assume_unique=True)
+        successes += np.unique(shared // max(code.T, 1)).size
     phat = successes / trials
     var = max(phat * (1.0 - phat), 0.25 / trials)
     try:
@@ -300,6 +340,8 @@ def result_row(experiment_id: str, code: BucketingCode, p_value,
         "mean_comparisons": repr(result.mean_comparisons),
         "predicted_W": repr(result.predicted_W),
         "seed": result.seed,
+        "successes": result.successes,
+        "mean_lookups": repr(result.mean_lookups),
     }
 
 

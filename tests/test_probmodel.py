@@ -10,6 +10,7 @@ from bucketing.errors import (
     NotNormalized,
     OutOfRange,
     SupportViolation,
+    TooLarge,
 )
 from bucketing.probmodel import (
     bernoulli_matrix,
@@ -227,3 +228,38 @@ class TestGenerateDataset:
     def test_size_validation(self):
         with pytest.raises(OutOfRange):
             generate_dataset(bernoulli_matrix(0.9), 0, 1, 1, seed=0)
+
+    @pytest.mark.parametrize("entries", [
+        [[0.45, 0.05], [0.05, 0.45]],
+        [[0.2, 0.0, 0.3], [0.0, 0.5, 0.0]],
+        [[0.1, 0.0], [0.3, 0.2], [0.0, 0.4]],
+        [[0.0, 1.0]],
+    ])
+    def test_draws_match_numpy_choice(self, entries):
+        # the sampler inverts the cdf exactly as Generator.choice(p=...)
+        # does; a numpy release that changes choice's draws fails here
+        p = make_matrix(entries)
+        for seed in range(25):
+            ds = generate_dataset(p, 7, 3, 5, seed)
+            x0 = derive_rng(seed, "x0").choice(
+                p.rows, size=(3, 7), p=p.row_marginals)
+            x1 = derive_rng(seed, "x1").choice(
+                p.cols, size=(5, 7), p=p.col_marginals)
+            cells = derive_rng(seed, "planted_pair").choice(
+                p.rows * p.cols, size=7, p=p.entries.ravel())
+            i0, i1 = ds.planted
+            x0[i0], x1[i1] = cells // p.cols, cells % p.cols
+            assert np.array_equal(ds.x0_points, x0)
+            assert np.array_equal(ds.x1_points, x1)
+
+    def test_symbols_beyond_uint8_rejected(self):
+        wide = np.zeros((300, 2))
+        wide[299] = 0.5
+        with pytest.raises(TooLarge):
+            generate_dataset(make_matrix(wide), 4, 2, 2, seed=0)
+        with pytest.raises(TooLarge):
+            generate_dataset(make_matrix(wide.T), 4, 2, 2, seed=0)
+        full = np.zeros((256, 1))
+        full[255] = 1.0
+        ds = generate_dataset(make_matrix(full), 4, 2, 2, seed=0)
+        assert np.all(ds.x0_points == 255)

@@ -5,18 +5,24 @@ import math
 import numpy as np
 import pytest
 
+from bucketing import simharness
 from bucketing.codes import (
     classical_code,
     code_success_exact,
+    concatenate,
+    empty_code,
     full_space_code,
     shell_analytics,
     shell_code,
+    tensor_power,
+    typeclass_code,
 )
-from bucketing.errors import DimensionMismatch, DomainError
-from bucketing.probmodel import bernoulli_matrix
+from bucketing.errors import DimensionMismatch, DomainError, TooLarge
+from bucketing.probmodel import bernoulli_matrix, generate_dataset, make_matrix
 from bucketing.rng import derive_rng
 from bucketing.simharness import (
     CSV_FIELDS,
+    ExperimentResult,
     baseline_exponents,
     cauchy_baseline,
     exponent_table,
@@ -25,6 +31,101 @@ from bucketing.simharness import (
     sparse_hash_experiment,
     write_csv,
 )
+
+
+def per_trial_reference(code, p, d, n0, n1, trials, seed):
+    """run_experiment one trial at a time: one membership call per side and
+    trial, and the planted pair's buckets picked out by a row mask."""
+    successes = 0
+    comparisons = 0.0
+    lookups = 0.0
+    for t in range(trials):
+        trial_seed = int(derive_rng(seed, "trial", t).integers(1 << 62))
+        ds = generate_dataset(p, d, n0, n1, trial_seed)
+        rows0, ids0 = code.membership(ds.x0_points, 0)
+        rows1, ids1 = code.membership(ds.x1_points, 1)
+        lookups += ids0.size + ids1.size
+        sorted0 = np.sort(ids0)
+        comparisons += int(np.sum(np.searchsorted(sorted0, ids1, side="right")
+                                  - np.searchsorted(sorted0, ids1)))
+        i0, i1 = ds.planted
+        if np.intersect1d(ids0[rows0 == i0], ids1[rows1 == i1],
+                          assume_unique=True).size:
+            successes += 1
+    phat = successes / trials
+    var = max(phat * (1.0 - phat), 0.25 / trials)
+    try:
+        predicted = code_success_exact(code, p)
+    except TooLarge:
+        predicted = math.nan
+    return ExperimentResult(
+        trials=trials,
+        successes=successes,
+        empirical_S=phat,
+        ci=1.96 * math.sqrt(var / trials),
+        mean_comparisons=comparisons / trials,
+        mean_lookups=lookups / trials,
+        predicted_S=predicted,
+        predicted_W=code.work(n0, n1),
+        seed=seed,
+    )
+
+
+P23 = make_matrix([[0.3, 0.1, 0.05], [0.05, 0.2, 0.3]])
+# (code, matrix, n0, n1); n0 != n1 throughout
+CHUNK_CASES = {
+    "full": (full_space_code(6), bernoulli_matrix(0.9), 3, 5),
+    "empty": (empty_code(6), bernoulli_matrix(0.9), 3, 5),
+    "classical": (classical_code(8, 3, 2, seed=1), bernoulli_matrix(0.9), 4, 3),
+    "shell": (shell_code(8, 5, 6, seed=2), bernoulli_matrix(0.9), 3, 4),
+    "typeclass-2x3": (typeclass_code(P23, 6, [P23.entries], seed=2, T=5),
+                      P23, 3, 4),
+    "tensor": (tensor_power(shell_code(5, 3, 3, seed=1), 2),
+               bernoulli_matrix(0.9), 3, 2),
+    "concat-blocks": (concatenate(shell_code(5, 3, 3, seed=1),
+                                  classical_code(4, 2, 2, seed=3)),
+                      bernoulli_matrix(0.9), 4, 3),
+    "concat-union": (concatenate(shell_code(6, 4, 3, seed=1),
+                                 classical_code(6, 2, 2, seed=3), mode="union"),
+                     bernoulli_matrix(0.9), 4, 3),
+    # T = 2^62: keys of two trials would overflow int64, so every chunk
+    # holds one trial
+    "tensor-2^62": (tensor_power(classical_code(1, 1, 1, seed=0), 62),
+                    bernoulli_matrix(0.99), 2, 3),
+}
+
+
+class TestChunkedTrials:
+    @pytest.mark.parametrize("chunk", [None, 16], ids=["default", "small"])
+    @pytest.mark.parametrize("name", list(CHUNK_CASES))
+    def test_matches_per_trial_loop(self, name, chunk, monkeypatch):
+        code, p, n0, n1 = CHUNK_CASES[name]
+        if chunk is not None:
+            monkeypatch.setattr(simharness, "_TRIAL_CHUNK", chunk)
+        sizes = []
+        inner = code.membership
+
+        def spy(points, side):
+            sizes.append(len(points))
+            return inner(points, side)
+
+        monkeypatch.setattr(code, "membership", spy)
+        got = run_experiment(code, p, code.d, n0, n1, 40, seed=3)
+        monkeypatch.setattr(code, "membership", inner)
+        want = per_trial_reference(code, p, code.d, n0, n1, 40, seed=3)
+        assert repr(got) == repr(want)
+        # one membership call per side and chunk; the exact-S sweep's own
+        # calls follow the trial loop's
+        per_chunk = 1 if name == "tensor-2^62" else (
+            simharness._TRIAL_CHUNK // max(n0, n1))
+        loop = []
+        for first in range(0, 40, per_chunk):
+            m = min(per_chunk, 40 - first)
+            loop += [m * n0, m * n1]
+        assert sizes[:len(loop)] == loop
+        if name != "tensor-2^62":
+            # the default chunk holds all 40 trials, the small one 3 to 5
+            assert (len(loop) == 2) == (chunk is None)
 
 
 class TestRunExperiment:
@@ -196,7 +297,14 @@ class TestCsv:
         text = write_csv([result_row("exp-1", code, 0.9, 4, 4, res)])
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 1
+        assert CSV_FIELDS == [
+            "experiment_id", "kind", "d", "d0", "p", "n0", "n1", "T",
+            "trials", "empirical_S", "ci", "predicted_S", "mean_comparisons",
+            "predicted_W", "seed", "successes", "mean_lookups",
+        ]
         assert list(rows[0].keys()) == CSV_FIELDS
         assert rows[0]["kind"] == "classical"
         assert float(rows[0]["empirical_S"]) == res.empirical_S
+        assert int(rows[0]["successes"]) == res.successes
+        assert float(rows[0]["mean_lookups"]) == res.mean_lookups
         assert int(rows[0]["T"]) == code.T
