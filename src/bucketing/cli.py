@@ -155,7 +155,8 @@ def _build_code(args, parser, p):
     if kind == "classical":
         if args.k is None:
             parser.error("--k is required for --code classical")
-        return classical_code(args.d, args.k, args.T or 1, seed=args.seed)
+        draws = 1 if args.T is None else args.T
+        return classical_code(args.d, args.k, draws, seed=args.seed)
     if kind == "typeclass":
         if args.matrix is None:
             parser.error("--code typeclass requires --matrix (blocks = P)")
@@ -172,7 +173,7 @@ def _cmd_simulate(args, parser):
     n0 = args.n0
     n1 = args.n1
     if n0 is None or n1 is None:
-        default = max(1, int(1.0 / float(code.side0_probs()[0])))
+        default = max(1, int(1.0 / code.bucket_probs()[0][1]))
         n0 = default if n0 is None else n0
         n1 = default if n1 is None else n1
     result = run_experiment(code, p, args.d, n0, n1, args.trials, args.seed)

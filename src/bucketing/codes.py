@@ -6,8 +6,11 @@ both sides.  A code never stores its buckets as point sets.  It answers
 one question about a batch of points, `membership(points, side)`, with
 two int64 arrays (rows, buckets) in COO form: one entry per (point index,
 bucket id) membership, sorted by point and then by bucket.  Monte Carlo
-counting and the exact success sweep both work on these arrays; work
-follows from the analytically known inclusion probabilities.
+counting and the exact success sweep both work on these arrays.  Work
+W = sum_t max(n0 p0_t, n1 p1_t, n0 p0_t n1 p1_t) depends only on how many
+buckets share each pair (p0_t, p1_t) of side measures, so a code reports
+its buckets as `bucket_probs()`, a short list of (count, p0, p1) groups:
+the random constructions repeat one pair T times and cost one term.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .rng import derive_rng
 # max b0^d * b1^d pair states the exact-S sweep visits; it bounds the
 # sweep's time, since its memory is one row block
 ENUMERATION_GUARD = 1 << 26
-BUCKET_INDEX_GUARD = 1 << 20  # max materialized bucket count / DP table size
+BUCKET_INDEX_GUARD = 1 << 20  # max materialized bucket count / group table size
 _SHELL_SLICE = 1 << 22  # max points x centers entries per membership slice
 
 
@@ -46,11 +49,10 @@ class BucketingCode:
     def T(self) -> int:
         raise NotImplementedError
 
-    def side0_probs(self) -> np.ndarray:
-        """Per-bucket marginal measure of B0_t (length T)."""
-        raise NotImplementedError
-
-    def side1_probs(self) -> np.ndarray:
+    def bucket_probs(self) -> list:
+        """[(count, p0, p1), ...]: the buckets grouped by the marginal
+        measures p0 of B0_t and p1 of B1_t, in the order of each group's
+        first bucket; counts sum to T, and a pair may recur."""
         raise NotImplementedError
 
     def membership(self, points: np.ndarray, side: int):
@@ -60,10 +62,13 @@ class BucketingCode:
         raise NotImplementedError
 
     def work(self, n0: float, n1: float) -> float:
-        """W = sum_t max(n0 p0_t, n1 p1_t, n0 p0_t n1 p1_t)."""
-        a = self.side0_probs()
-        b = self.side1_probs()
-        return float(np.sum(np.maximum(np.maximum(n0 * a, n1 * b), n0 * a * n1 * b)))
+        """W = sum_t max(n0 p0_t, n1 p1_t, n0 p0_t n1 p1_t), one term per
+        group of `bucket_probs`."""
+        try:
+            return float(sum(count * max(n0 * p0, n1 * p1, n0 * p0 * n1 * p1)
+                             for count, p0, p1 in self.bucket_probs()))
+        except OverflowError:  # an integer count beyond the float range
+            raise TooLarge("bucket counts overflow the float work sum") from None
 
     def success_exact(self, p: ProbabilityMatrix):
         """Closed-form planted-pair success probability, or None."""
@@ -84,11 +89,8 @@ class FullSpaceCode(BucketingCode):
     def T(self) -> int:
         return 1
 
-    def side0_probs(self) -> np.ndarray:
-        return np.ones(1)
-
-    def side1_probs(self) -> np.ndarray:
-        return np.ones(1)
+    def bucket_probs(self):
+        return [(1, 1.0, 1.0)]
 
     def membership(self, points, side):
         n = len(points)
@@ -113,11 +115,8 @@ class EmptyCode(BucketingCode):
     def T(self) -> int:
         return 0
 
-    def side0_probs(self) -> np.ndarray:
-        return np.zeros(0)
-
-    def side1_probs(self) -> np.ndarray:
-        return np.zeros(0)
+    def bucket_probs(self):
+        return []
 
     def membership(self, points, side):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
@@ -144,6 +143,8 @@ class ClassicalCode(BucketingCode):
             raise DomainError(f"need 1 <= k <= d, got k={k}, d={d}")
         if k > 62:
             raise TooLarge(f"k={k} exceeds the 62-bit pattern guard")
+        if draws < 0:
+            raise DomainError(f"draws={draws} must be >= 0")
         self.d = d
         self.k = k
         self.draws = draws
@@ -160,12 +161,8 @@ class ClassicalCode(BucketingCode):
     def T(self) -> int:
         return self.draws << self.k
 
-    def side0_probs(self) -> np.ndarray:
-        if self.T > BUCKET_INDEX_GUARD:
-            raise TooLarge(f"{self.T} buckets exceed the materialization guard")
-        return np.full(self.T, 2.0**-self.k)
-
-    side1_probs = side0_probs
+    def bucket_probs(self):
+        return [(self.T, 2.0**-self.k, 2.0**-self.k)]
 
     def membership(self, points, side):
         n = len(points)
@@ -175,10 +172,6 @@ class ClassicalCode(BucketingCode):
         ids += (np.arange(self.draws, dtype=np.int64) << self.k)[None, :]
         rows = np.repeat(np.arange(n, dtype=np.int64), self.draws)
         return rows, ids.reshape(-1)
-
-    def work(self, n0, n1):
-        per = max(n0 * 2.0**-self.k, n1 * 2.0**-self.k, n0 * n1 * 4.0**-self.k)
-        return self.draws * (1 << self.k) * per
 
     def descriptor(self):
         return {"kind": "classical", "d": self.d, "T": self.T, "seed": self.seed,
@@ -195,6 +188,8 @@ class ShellCode(BucketingCode):
     def __init__(self, d: int, d0: int, T: int, seed: int):
         if not 1 <= d0 <= d:
             raise DomainError(f"need 1 <= d0 <= d, got d0={d0}, d={d}")
+        if T < 0:
+            raise DomainError(f"T={T} must be >= 0")
         self.d = d
         self.d0 = d0
         self._T = T
@@ -215,10 +210,8 @@ class ShellCode(BucketingCode):
     def T(self) -> int:
         return self._T
 
-    def side0_probs(self) -> np.ndarray:
-        return np.full(self._T, self.p_star)
-
-    side1_probs = side0_probs
+    def bucket_probs(self):
+        return [(self._T, self.p_star, self.p_star)]
 
     def membership(self, points, side):
         pts = np.asarray(points)
@@ -369,6 +362,8 @@ class TypeClassCode(BucketingCode):
 
     def __init__(self, p: ProbabilityMatrix, d: int, r_blocks, seed: int,
                  T: int | None = None):
+        if T is not None and T < 0:
+            raise DomainError(f"T={T} must be >= 0")
         blocks = np.stack([np.asarray(getattr(b, "entries", b), float)
                            for b in r_blocks])
         if np.any(blocks < 0):
@@ -410,20 +405,17 @@ class TypeClassCode(BucketingCode):
         self.U = math.exp(ln_u)
         self.V = math.exp(ln_v)
         self._T = T if T is not None else max(1, math.ceil(math.exp(ln_u - ln_v)))
-        perms = [np.arange(d)]
-        for t in range(1, self._T):
-            perms.append(derive_rng(seed, "typeclass-perm", t).permutation(d))
-        self.perms = np.stack(perms)
+        self.perms = np.zeros((self._T, d), dtype=np.int64)
+        for t in range(self._T):
+            self.perms[t] = (derive_rng(seed, "typeclass-perm", t).permutation(d)
+                             if t else np.arange(d))
 
     @property
     def T(self) -> int:
         return self._T
 
-    def side0_probs(self) -> np.ndarray:
-        return np.full(self._T, self._p0)
-
-    def side1_probs(self) -> np.ndarray:
-        return np.full(self._T, self._p1)
+    def bucket_probs(self):
+        return [(self._T, self._p0, self._p1)]
 
     def success_lower_bound(self) -> float:
         """E[S] >= U (1 - (1 - V/U)^T) over the permutation randomness."""
@@ -480,23 +472,22 @@ class TensorPowerCode(BucketingCode):
     def T(self) -> int:
         return self.base.T**self.k
 
-    def side0_probs(self) -> np.ndarray:
-        if self.T > BUCKET_INDEX_GUARD:
-            raise TooLarge(f"{self.T} composite buckets exceed the guard")
-        probs = self.base.side0_probs()
-        out = np.ones(1)
+    def bucket_probs(self):
+        """The base's groups convolved k times, keyed by measure pair; the
+        composite ids run over k-tuples in lexicographic order, so groups
+        stay in the order of their first bucket."""
+        base = self.base.bucket_probs()
+        groups = {(1.0, 1.0): 1}
         for _ in range(self.k):
-            out = np.multiply.outer(out, probs).reshape(-1)
-        return out
-
-    def side1_probs(self) -> np.ndarray:
-        if self.T > BUCKET_INDEX_GUARD:
-            raise TooLarge(f"{self.T} composite buckets exceed the guard")
-        probs = self.base.side1_probs()
-        out = np.ones(1)
-        for _ in range(self.k):
-            out = np.multiply.outer(out, probs).reshape(-1)
-        return out
+            nxt: dict[tuple, int] = {}
+            for (pa, pb), c in groups.items():
+                for m, qa, qb in base:
+                    key = (pa * qa, pb * qb)
+                    nxt[key] = nxt.get(key, 0) + c * m
+            if len(nxt) > BUCKET_INDEX_GUARD:
+                raise TooLarge("work accumulation table exceeds the guard")
+            groups = nxt
+        return [(c, pa, pb) for (pa, pb), c in groups.items()]
 
     def membership(self, points, side):
         """Composite id sum_i t_i base_T^(k-1-i) for every k-tuple of the
@@ -520,30 +511,6 @@ class TensorPowerCode(BucketingCode):
             ids = np.repeat(ids, rep) * self.base.T + base_ids[start + offset]
             rows = np.repeat(rows, rep)
         return rows, ids
-
-    def work(self, n0, n1):
-        a = self.base.side0_probs()
-        b = self.base.side1_probs()
-        pairs: dict[tuple, float] = {(1.0, 1.0): 1.0}
-        base_pairs: dict[tuple, float] = {}
-        for ai, bi in zip(a, b):
-            key = (float(ai), float(bi))
-            base_pairs[key] = base_pairs.get(key, 0.0) + 1.0
-        for _ in range(self.k):
-            nxt: dict[tuple, float] = {}
-            for (pa, pb), c in pairs.items():
-                for (qa, qb), m in base_pairs.items():
-                    key = (pa * qa, pb * qb)
-                    nxt[key] = nxt.get(key, 0.0) + c * m
-            if len(nxt) > BUCKET_INDEX_GUARD:
-                raise TooLarge("work accumulation table exceeds the guard")
-            pairs = nxt
-        return float(
-            sum(
-                c * max(n0 * pa, n1 * pb, n0 * pa * n1 * pb)
-                for (pa, pb), c in pairs.items()
-            )
-        )
 
     def success_exact(self, p):
         base_s = code_success_exact(self.base, p)
@@ -580,11 +547,8 @@ class ConcatenatedCode(BucketingCode):
     def T(self) -> int:
         return self.c1.T + self.c2.T
 
-    def side0_probs(self) -> np.ndarray:
-        return np.concatenate([self.c1.side0_probs(), self.c2.side0_probs()])
-
-    def side1_probs(self) -> np.ndarray:
-        return np.concatenate([self.c1.side1_probs(), self.c2.side1_probs()])
+    def bucket_probs(self):
+        return self.c1.bucket_probs() + self.c2.bucket_probs()
 
     def membership(self, points, side):
         pts = np.asarray(points)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +77,15 @@ def _chunk_memberships(code: BucketingCode, points: list, side: int):
     return rows, rows // n * code.T + ids
 
 
+def _co_keyed_pairs(keys0: np.ndarray, keys1: np.ndarray) -> int:
+    """Number of (side-0, side-1) entry pairs with equal keys: each side-1
+    key meets every equal side-0 key, found by bisection on the sorted
+    side-0 keys."""
+    sorted0 = np.sort(keys0)
+    return int(np.sum(np.searchsorted(sorted0, keys1, side="right")
+                      - np.searchsorted(sorted0, keys1)))
+
+
 def _planted_keys(rows: np.ndarray, keys: np.ndarray,
                   planted: list) -> np.ndarray:
     """The keys of each planted row, found by bisection on the sorted rows."""
@@ -127,10 +135,7 @@ def run_experiment(
         rows0, keys0 = _chunk_memberships(code, x0, 0)
         rows1, keys1 = _chunk_memberships(code, x1, 1)
         lookups += keys0.size + keys1.size
-        # each side-1 membership meets every side-0 point of its bucket
-        sorted0 = np.sort(keys0)
-        comparisons += int(np.sum(np.searchsorted(sorted0, keys1, side="right")
-                                  - np.searchsorted(sorted0, keys1)))
+        comparisons += _co_keyed_pairs(keys0, keys1)
         # a trial succeeds iff its planted points share a key; the trial
         # of a shared key is key // T
         shared = np.intersect1d(_planted_keys(rows0, keys0, planted0),
@@ -241,11 +246,24 @@ def sparse_matrix(eps: float) -> ProbabilityMatrix:
     return make_matrix([[1.0 - 3.0 * eps, eps], [eps, eps]])
 
 
-def _first_ones_key(x: np.ndarray, order: np.ndarray, k: int):
-    ones = order[x[order] == 1]
-    if len(ones) < k:
-        return None
-    return tuple(ones[:k].tolist())
+def _first_ones_keys(points: np.ndarray, order: np.ndarray,
+                     k: int) -> np.ndarray:
+    """Key sum_j pos_j d^(k-j) of each point, pos_1..pos_k the coordinates
+    of its first k ones in `order`; -1 for a point with fewer than k ones."""
+    ones = points[:, order] == 1
+    rank = np.cumsum(ones, axis=1)
+    place = np.where(ones & (rank <= k),
+                     len(order) ** np.maximum(k - rank, 0), 0)
+    keys = place @ order
+    keys[rank[:, -1] < k] = -1
+    return keys
+
+
+def _sign_keys(points: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """Base-3 key of each point's projection signs, first projection
+    most significant."""
+    signs = np.sign(points.astype(float) @ proj.T).astype(np.int64)
+    return (signs + 1) @ 3 ** np.arange(len(proj) - 1, -1, -1)
 
 
 def sparse_hash_experiment(eps: float, k: int, n: int, trials: int,
@@ -253,17 +271,20 @@ def sparse_hash_experiment(eps: float, k: int, n: int, trials: int,
     """Compare two hashes on sparse-bits data: first k ones vs Cauchy signs.
 
     The first-k-ones hash keys each point by the coordinate positions of its
-    first k ones under a random coordinate order.  The Cauchy hash keys each
-    point by ceil(log2 n) projection sign bits.  For each method the report
-    carries the per-try planted-pair collision frequency, the mean number of
-    candidate comparisons, and the implied work exponent
-    ln(mean_comparisons / success) / ln(n); the analytic targets are
-    1 + ln3/ln(1/2*eps) and log2(3).
+    first k ones under a random coordinate order, and skips points with
+    fewer ones.  The Cauchy hash keys each point by ceil(log2 n) projection
+    signs.  Keys are int64 codes of those tuples, so d^k must fit in int64.
+    For each method the report carries the per-try planted-pair collision
+    frequency, the mean number of candidate comparisons, and the implied
+    work exponent ln(mean_comparisons / success) / ln(n); the analytic
+    targets are 1 + ln3/ln(1/2*eps) and log2(3).
     """
     if trials < 1 or n < 2 or k < 1:
         raise DomainError(f"need trials >= 1, n >= 2, k >= 1")
     p = sparse_matrix(eps)
     d = max(int(math.ceil(2.0 * k / eps)), 4 * k)
+    if d**k > np.iinfo(np.int64).max:
+        raise TooLarge(f"first-{k}-ones keys over d={d} overflow int64")
     bits = max(1, math.ceil(math.log2(n)))
     tallies = {
         name: {"hits": 0, "comparisons": 0.0}
@@ -271,34 +292,21 @@ def sparse_hash_experiment(eps: float, k: int, n: int, trials: int,
     }
 
     def record(name, keys0, keys1, planted):
-        c0 = Counter(kk for kk in keys0 if kk is not None)
-        c1 = Counter(kk for kk in keys1 if kk is not None)
-        tallies[name]["comparisons"] += sum(
-            c0[b] * c1[b] for b in c0.keys() & c1.keys()
-        )
-        i0, i1 = planted
-        if keys0[i0] is not None and keys0[i0] == keys1[i1]:
+        tallies[name]["comparisons"] += _co_keyed_pairs(keys0[keys0 >= 0],
+                                                        keys1[keys1 >= 0])
+        key = keys0[planted[0]]
+        if key >= 0 and key == keys1[planted[1]]:
             tallies[name]["hits"] += 1
 
     for t in range(trials):
         ds = generate_dataset(p, d, n, n, _trial_seed(seed, t))
         rng = derive_rng(seed, "sparse-hash", t)
         order = rng.permutation(d)
-        record(
-            "first_k_ones",
-            [_first_ones_key(x, order, k) for x in ds.x0_points],
-            [_first_ones_key(x, order, k) for x in ds.x1_points],
-            ds.planted,
-        )
+        record("first_k_ones", _first_ones_keys(ds.x0_points, order, k),
+               _first_ones_keys(ds.x1_points, order, k), ds.planted)
         proj = np.tan(np.pi * (rng.uniform(size=(bits, d)) - 0.5))
-        s0 = np.sign(ds.x0_points.astype(float) @ proj.T)
-        s1 = np.sign(ds.x1_points.astype(float) @ proj.T)
-        record(
-            "cauchy",
-            [tuple(row.tolist()) for row in s0],
-            [tuple(row.tolist()) for row in s1],
-            ds.planted,
-        )
+        record("cauchy", _sign_keys(ds.x0_points, proj),
+               _sign_keys(ds.x1_points, proj), ds.planted)
 
     out = {"eps": eps, "k": k, "n": n, "d": d, "trials": trials, "seed": seed}
     for name, tally in tallies.items():

@@ -209,6 +209,24 @@ class TestSimulate:
         assert code == 0
         assert out_path.read_bytes() == first
 
+    @pytest.mark.parametrize("t_flag, header_t, buckets", [
+        ([], None, 4), (["--T", "0"], 0, 0),
+    ])
+    def test_classical_draws(self, t_flag, header_t, buckets, capsys):
+        # one draw of k = 2 coordinates is 4 buckets; --T 0 is no draw
+        code, out, _ = run_cli(
+            ["simulate", "--code", "classical", "--d", "8", "--k", "2",
+             "--n0", "4", "--n1", "4", "--p", "0.9", "--trials", "20",
+             *t_flag], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert json.loads(lines[0].removeprefix("# config "))["T"] == header_t
+        [row] = csv.DictReader(io.StringIO("\n".join(lines[1:])))
+        assert int(row["T"]) == buckets
+        if not buckets:
+            assert (row["successes"], row["mean_comparisons"],
+                    row["predicted_W"]) == ("0", "0.0", "0.0")
+
     def test_classical_requires_k(self, capsys):
         code, _, _ = run_cli(
             ["simulate", "--code", "classical", "--d", "8", "--p", "0.9"],

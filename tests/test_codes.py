@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bucketing.codes import (
     classical_code,
@@ -67,6 +69,20 @@ def kron_success(code, P):
 
 
 ALL_POINTS_6 = ((np.arange(64)[:, None] >> np.arange(6)) & 1).astype(np.uint8)
+
+
+def enumerated_measures(code, P):
+    """Per-bucket side measures (p0_t, p1_t) as two length-T arrays: each
+    bucket's membership summed over all b^d states of its side under P's
+    marginal on that side."""
+    out = []
+    for side, marginal in ((0, P.row_marginals), (1, P.col_marginals)):
+        states = np.array(
+            list(itertools.product(range(len(marginal)), repeat=code.d)),
+            np.uint8,
+        )
+        out.append(np.prod(marginal[states], axis=1) @ dense(code, states, side))
+    return out
 
 
 def brute_capture(d, d0, m):
@@ -163,7 +179,9 @@ class TestShellCode:
 
     def test_side_probs_and_work(self):
         code = shell_code(12, 7, 13, seed=1)
-        assert np.allclose(code.side0_probs(), 1716 / 4096)
+        [(count, p0, p1)] = code.bucket_probs()
+        assert count == 13
+        assert np.allclose([p0, p1], 1716 / 4096)
         n = 2
         per_bucket = max(n * 1716 / 4096, (n * 1716 / 4096) ** 2)
         assert code_work(code, n, n) == pytest.approx(13 * per_bucket)
@@ -273,11 +291,20 @@ class TestTypeClassCode:
         weights = np.prod(
             np.where(pts == 0, 0.5, 0.5), axis=1
         )  # uniform marginals
-        assert member @ weights == pytest.approx(code.side0_probs()[0])
+        assert member @ weights == pytest.approx(code.bucket_probs()[0][1])
 
     def test_mass_validation(self):
         with pytest.raises(DomainError):
             typeclass_code(self.P, 6, [self.P.entries * 0.7], seed=0)
+
+    def test_one_permutation_per_bucket(self):
+        assert len(typeclass_code(self.P, 6, [self.P.entries], T=3).perms) == 3
+        code = typeclass_code(self.P, 6, [self.P.entries], T=0)
+        assert code.T == len(code.perms) == 0
+        for side in (0, 1):
+            rows, buckets = code.membership(ALL_POINTS_6, side)
+            assert rows.size == buckets.size == 0
+        assert code.work(5, 5) == 0.0
 
     def test_support_violation(self):
         gappy = make_matrix([[0.5, 0.0], [0.25, 0.25]])
@@ -325,7 +352,7 @@ class TestCombinators:
     def test_tensor_work_matches_materialized(self):
         base = shell_code(4, 2, 3, seed=8)
         cubed = tensor_power(base, 3)
-        a, b = cubed.side0_probs(), cubed.side1_probs()
+        a, b = enumerated_measures(cubed, bernoulli_matrix(0.5))
         direct = float(
             np.sum(np.maximum(np.maximum(100 * a, 40 * b), 100 * a * 40 * b))
         )
@@ -457,3 +484,107 @@ class TestGuardsAndDescriptors:
         with pytest.raises(DomainError):
             code_from_descriptor({"kind": "mystery", "d": 4, "T": 1,
                                   "seed": 0, "params": {}})
+
+    def test_negative_counts_rejected(self):
+        P = bernoulli_matrix(0.8)
+        builders = (
+            lambda: shell_code(4, 2, -1),
+            lambda: classical_code(4, 2, -1),
+            lambda: typeclass_code(P, 6, [P.entries], T=-1),
+        )
+        for build in builders:
+            with pytest.raises(DomainError):
+                build()
+
+
+@st.composite
+def small_matrices(draw):
+    """(P, binary): a symmetric binary P with uniform marginals, on which
+    every kind is defined, or a full-support P of up to 3x3, on which the
+    shell and classical codes are not."""
+    if draw(st.booleans()):
+        a = draw(st.integers(1, 9))
+        return make_matrix(np.array([[a, 10 - a], [10 - a, a]]) / 20), True
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    w = np.array(draw(st.lists(st.integers(1, 9), min_size=rows * cols,
+                               max_size=rows * cols)), float)
+    return make_matrix((w / w.sum()).reshape(rows, cols)), False
+
+
+@st.composite
+def small_codes(draw, P, binary, d, depth=2):
+    """A code of dimension d over P's alphabet, combinators nested up to
+    `depth` deep."""
+    kinds = ["full", "empty", "typeclass"] + (["shell", "classical"]
+                                              if binary else [])
+    if depth:
+        kinds += ["union"] + (["tensor", "blocks"] if d > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    seed = draw(st.integers(0, 1 << 16))
+    if kind == "full":
+        return full_space_code(d)
+    if kind == "empty":
+        return empty_code(d)
+    if kind == "shell":
+        return shell_code(d, draw(st.integers(1, d)), draw(st.integers(0, 3)),
+                          seed)
+    if kind == "classical":
+        return classical_code(d, draw(st.integers(1, d)),
+                              draw(st.integers(0, 2)), seed)
+    if kind == "typeclass":
+        share = draw(st.sampled_from([1.0, 0.5, 0.25]))
+        blocks = ([P.entries] if share == 1.0
+                  else [P.entries * share, P.entries * (1 - share)])
+        return typeclass_code(P, d, blocks, seed, T=draw(st.integers(0, 3)))
+    if kind == "tensor":
+        k = draw(st.sampled_from([k for k in range(2, d + 1) if d % k == 0]))
+        return tensor_power(draw(small_codes(P, binary, d // k, depth - 1)), k)
+    d1 = d if kind == "union" else draw(st.integers(1, d - 1))
+    d2 = d if kind == "union" else d - d1
+    return concatenate(draw(small_codes(P, binary, d1, depth - 1)),
+                       draw(small_codes(P, binary, d2, depth - 1)), kind)
+
+
+class TestBucketProbs:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_groups_match_membership(self, data):
+        P, binary = data.draw(small_matrices())
+        code = data.draw(small_codes(P, binary, data.draw(st.integers(1, 6))))
+        n0 = data.draw(st.floats(0.5, 100.0))
+        n1 = data.draw(st.floats(0.5, 100.0))
+        groups = code.bucket_probs()
+        a, b = enumerated_measures(code, P)
+        assert sum(count for count, _, _ in groups) == code.T == len(a)
+        # every group's pair is carried by as many buckets as the groups
+        # with that pair count, so the two multisets of pairs agree
+        for _, p0, p1 in groups:
+            carried = np.isclose(a, p0, rtol=1e-9, atol=0) & np.isclose(
+                b, p1, rtol=1e-9, atol=0)
+            listed = sum(c for c, q0, q1 in groups
+                         if math.isclose(q0, p0, rel_tol=1e-9)
+                         and math.isclose(q1, p1, rel_tol=1e-9))
+            assert carried.sum() == listed
+        direct = float(np.sum(np.maximum(np.maximum(n0 * a, n1 * b),
+                                         n0 * a * n1 * b)))
+        assert code.work(n0, n1) == pytest.approx(direct, rel=1e-12, abs=0)
+        assert code_from_descriptor(code.descriptor()).bucket_probs() == groups
+
+    def test_work_closed_form_beyond_guard(self):
+        # both codes have more than 2^20 buckets, all alike but the shell's
+        n0, n1 = 1e5, 3e4
+        shell = shell_code(40, 20, 1)
+        code = concatenate(classical_code(40, 20, 3), shell)
+        assert code.T == 3 * 2**20 + 1
+        q, p = 2.0**-20, shell.p_star
+        assert code.work(n0, n1) == pytest.approx(
+            3 * 2**20 * max(n0 * q, n1 * q, n0 * q * n1 * q)
+            + max(n0 * p, n1 * p, n0 * p * n1 * p), rel=1e-15)
+        nested = tensor_power(tensor_power(classical_code(22, 11, 1), 2), 2)
+        assert nested.T == 2**44
+        q = 2.0**-44
+        assert nested.bucket_probs() == [(2**44, q, q)]
+        assert nested.work(n0, n1) == 2**44 * max(n0 * q, n1 * q,
+                                                  n0 * q * n1 * q)
+        with pytest.raises(TooLarge):  # 100^200 buckets
+            tensor_power(shell_code(4, 2, 100), 200).work(2, 2)

@@ -278,6 +278,39 @@ class TestSparseHash:
         b = sparse_hash_experiment(0.05, 2, 16, 20, seed=6)
         assert a == b
 
+    def test_pinned_report(self):
+        rep = sparse_hash_experiment(0.05, 2, 32, 400, seed=11)
+        assert rep["first_k_ones"] == {
+            "success": 0.145, "mean_comparisons": 3.0375,
+            "work_exponent": 0.8777519206731142}
+        assert rep["cauchy"] == {
+            "success": 0.14, "mean_comparisons": 44.3975,
+            "work_exponent": 1.661781560812788}
+
+    def test_keys_encode_tuples(self):
+        rng = np.random.default_rng(3)
+        d, k = 12, 3
+        pts = (rng.random((200, d)) < 0.3).astype(np.uint8)
+        order = rng.permutation(d)
+        keys = simharness._first_ones_keys(pts, order, k)
+        for x, key in zip(pts, keys):
+            ones = order[x[order] == 1][:k]
+            expected = -1 if len(ones) < k else sum(
+                int(pos) * d ** (k - 1 - j) for j, pos in enumerate(ones))
+            assert key == expected
+        proj = np.tan(np.pi * (rng.random((4, d)) - 0.5))
+        proj[0] = 0.0  # a zero sign is its own symbol
+        signs = np.sign(pts.astype(float) @ proj.T)
+        keys = simharness._sign_keys(pts, proj)
+        for row, key in zip(signs, keys):
+            assert key == sum(int(s + 1) * 3 ** (3 - j)
+                              for j, s in enumerate(row))
+
+    def test_key_overflow_rejected(self):
+        # d = 320 at k = 8: 320^8 > 2^63
+        with pytest.raises(TooLarge):
+            sparse_hash_experiment(0.05, 8, 16, 1, seed=0)
+
     def test_first_ones_hash_catches_related_points(self):
         rep = sparse_hash_experiment(0.05, 1, 8, 250, seed=2)
         assert rep["first_k_ones"]["success"] > 0.05
