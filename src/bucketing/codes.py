@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, RoundingInfeasible, TooLarge
-from .probmodel import ProbabilityMatrix
+from .probmodel import ProbabilityMatrix, make_matrix
 from .rng import derive_rng
 
 # max b0^d * b1^d pair states the exact-S sweep visits; it bounds the
@@ -473,21 +474,27 @@ class TensorPowerCode(BucketingCode):
         return self.base.T**self.k
 
     def bucket_probs(self):
-        """The base's groups convolved k times, keyed by measure pair; the
-        composite ids run over k-tuples in lexicographic order, so groups
-        stay in the order of their first bucket."""
+        """One group per multiset of k base groups, a sorted index tuple in
+        which group i occurs c_i times: count multinomial(k; c) *
+        prod m_i^{c_i}, measures the products of the base measures in
+        tuple order.  Composite ids run over k-tuples in lexicographic
+        order, and so do the sorted tuples, so groups stay in the order of
+        their first bucket."""
         base = self.base.bucket_probs()
-        groups = {(1.0, 1.0): 1}
-        for _ in range(self.k):
-            nxt: dict[tuple, int] = {}
-            for (pa, pb), c in groups.items():
-                for m, qa, qb in base:
-                    key = (pa * qa, pb * qb)
-                    nxt[key] = nxt.get(key, 0) + c * m
-            if len(nxt) > BUCKET_INDEX_GUARD:
-                raise TooLarge("work accumulation table exceeds the guard")
-            groups = nxt
-        return [(c, pa, pb) for (pa, pb), c in groups.items()]
+        if comb(len(base) + self.k - 1, self.k) > BUCKET_INDEX_GUARD:
+            raise TooLarge("work accumulation table exceeds the guard")
+        groups = []
+        for tup in combinations_with_replacement(range(len(base)), self.k):
+            count = math.factorial(self.k)
+            for i in set(tup):
+                count //= math.factorial(tup.count(i))
+            pa = pb = 1.0
+            for i in tup:
+                count *= base[i][0]
+                pa *= base[i][1]
+                pb *= base[i][2]
+            groups.append((count, pa, pb))
+        return groups
 
     def membership(self, points, side):
         """Composite id sum_i t_i base_T^(k-1-i) for every k-tuple of the
@@ -664,32 +671,33 @@ def code_success_exact(code: BucketingCode, p: ProbabilityMatrix) -> float:
     return float(total)
 
 
+def _typeclass_from(desc: dict, params: dict) -> TypeClassCode:
+    counts = np.asarray(params["block_counts"], dtype=float)
+    return TypeClassCode(make_matrix(params["matrix"]), desc["d"],
+                         counts / counts.sum(), desc["seed"], desc["T"])
+
+
+# descriptor kind -> builder(desc, params)
+_BUILDERS = {
+    "full_space": lambda desc, params: FullSpaceCode(desc["d"],
+                                                     desc.get("seed", 0)),
+    "empty": lambda desc, params: EmptyCode(desc["d"], desc.get("seed", 0)),
+    "classical": lambda desc, params: ClassicalCode(
+        desc["d"], params["k"], params["draws"], desc["seed"]),
+    "shell": lambda desc, params: ShellCode(desc["d"], params["d0"],
+                                            desc["T"], desc["seed"]),
+    "typeclass": _typeclass_from,
+    "tensor_power": lambda desc, params: TensorPowerCode(
+        code_from_descriptor(params["base"]), params["k"]),
+    "concatenate": lambda desc, params: ConcatenatedCode(
+        code_from_descriptor(params["first"]),
+        code_from_descriptor(params["second"]), params["mode"]),
+}
+
+
 def code_from_descriptor(desc: dict) -> BucketingCode:
     """Rebuild a bit-identical code from its JSON descriptor."""
-    kind = desc["kind"]
-    params = desc.get("params", {})
-    if kind == "full_space":
-        return FullSpaceCode(desc["d"], desc.get("seed", 0))
-    if kind == "empty":
-        return EmptyCode(desc["d"], desc.get("seed", 0))
-    if kind == "classical":
-        return ClassicalCode(desc["d"], params["k"], params["draws"], desc["seed"])
-    if kind == "shell":
-        return ShellCode(desc["d"], params["d0"], desc["T"], desc["seed"])
-    if kind == "typeclass":
-        from .probmodel import make_matrix
-
-        counts = np.asarray(params["block_counts"], dtype=float)
-        return TypeClassCode(
-            make_matrix(params["matrix"]), desc["d"],
-            counts / counts.sum(), desc["seed"], desc["T"],
-        )
-    if kind == "tensor_power":
-        return TensorPowerCode(code_from_descriptor(params["base"]), params["k"])
-    if kind == "concatenate":
-        return ConcatenatedCode(
-            code_from_descriptor(params["first"]),
-            code_from_descriptor(params["second"]),
-            params["mode"],
-        )
-    raise DomainError(f"unknown code kind {kind!r}")
+    build = _BUILDERS.get(desc["kind"])
+    if build is None:
+        raise DomainError(f"unknown code kind {desc['kind']!r}")
+    return build(desc, desc.get("params", {}))

@@ -5,20 +5,22 @@ mu=infinity) and governs both the work lower bounds and the attainable
 region of bucketing codes.  The maximization underlying I is a difference
 of divergence terms and is not concave.  Each of the three regimes (mu <= 1,
 1 < mu < infinity, mu = infinity) supplies its own softmax-parametrized
-objective, exact closed-form candidates (vertices, the identity split, the
-concentrated-block stationary point) and deterministic starts; one driver,
-`_ascend`, runs L-BFGS-B from every start and keeps the best of the local
-maxima and the candidates.  The best candidate alone, `info_floor`, is a
-solve-free lower bound on I that lets the frontier bisection and the work
-bound's search skip points that cannot change their answer.
+objective with its gradient, deterministic starts and a witness map; the
+exact closed-form candidates (vertices, the identity split, the
+concentrated-block stationary point) come from `_candidates`, and
+`info_numeric` alone solves: `_ascend` runs L-BFGS-B from every start and
+keeps the best of the local maxima and the candidates.  The best candidate
+alone, `info_floor`, is a solve-free lower bound on I that lets the
+frontier bisection and the work bound's search skip points that cannot
+change their answer.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
@@ -29,6 +31,8 @@ from .probmodel import NonnegMatrix, ProbabilityMatrix, kl_extended, mutual_info
 from .rng import derive_rng
 
 _VERTEX_LOGIT = 16.0
+SUBCONJ_TOL = 1e-9  # (l0, l1) is sub-conjugate when I(P, l0, l1, 1) <= this
+FRONTIER_WIDTH = 1e-4  # the frontier bisection stops at this lambda width
 
 
 @dataclass(frozen=True)
@@ -61,11 +65,9 @@ class InfoResult:
     method: str  # "closed_form" | "optimizer"
     converged: bool
 
-    def to_json(self, query: InfoQuery | None = None) -> str:
+    def to_json(self, query: InfoQuery) -> str:
         rec = {
-            "query": None
-            if query is None
-            else {
+            "query": {
                 "lambda0": query.lambda0,
                 "lambda1": query.lambda1,
                 "mu": "inf" if math.isinf(query.mu) else query.mu,
@@ -119,8 +121,7 @@ def info_closed_form(p: ProbabilityMatrix, mu: float) -> float:
     mutual information at mu = infinity.  Both finite branches agree at
     mu = 1.
     """
-    if mu < 0:
-        raise DomainError(f"mu={mu} must be >= 0")
+    InfoQuery(1.0, 1.0, mu)  # rejects a negative or nan mu
     e = p.entries
     outer = np.outer(p.row_marginals, p.col_marginals)
     if math.isinf(mu):
@@ -145,34 +146,32 @@ def block_objective(p: ProbabilityMatrix, blocks, lambda0: float,
                     lambda1: float, mu: float) -> float:
     """Evaluate the defining objective of I at an explicit block family.
 
-    blocks: nonnegative matrices R_i with total mass 1.  For mu = infinity
-    the (1-mu) K(R_*||P) term is treated as a hard constraint R_* = P
-    (returns -inf when K(R_*||P) > 1e-9).  A single block is its own
-    mixture, so its -K + (1-mu) K is taken as -mu K, which is 0 at mu = 0
-    even where the block sits on zero cells of P.
+    blocks: nonnegative matrices R_i with total mass 1.  The objective is
+    lambda0 m0 + lambda1 m1 - mu s - w at the blocks' attainable point.
+    For mu = infinity the mu s term is a hard constraint R_* = P (returns
+    -inf when s > 1e-9).  A single block has w = 0, so at mu = 0 it is
+    priced lambda0 m0 + lambda1 m1 even where it sits on zero cells of P.
     """
+    InfoQuery(lambda0, lambda1, mu)  # rejects nan and infinite exponents
+    if len(blocks) == 1 and mu == 0:
+        a = _block_arrays(blocks)[0]
+        return (lambda0 * kl_extended(a.sum(axis=1), p.row_marginals)
+                + lambda1 * kl_extended(a.sum(axis=0), p.col_marginals))
+    pt = attainable_point(blocks, p)
+    val = lambda0 * pt.m0 + lambda1 * pt.m1
+    if math.isinf(mu):
+        return val - pt.w if pt.s <= 1e-9 else -math.inf
+    return val - mu * pt.s - pt.w
+
+
+def _block_arrays(blocks) -> list:
+    """The blocks as float arrays; their total mass must be within 1e-9
+    of 1, written so that nan fails."""
     arrs = [np.asarray(getattr(b, "entries", b), dtype=float) for b in blocks]
     total = sum(a.sum() for a in arrs)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise MassError(f"blocks have total mass {total}, expected 1")
-    if len(arrs) == 1 and not math.isinf(mu):
-        a = arrs[0]
-        val = lambda0 * kl_extended(a.sum(axis=1), p.row_marginals)
-        val += lambda1 * kl_extended(a.sum(axis=0), p.col_marginals)
-        return val - mu * kl_extended(a, p) if mu > 0 else val
-    val = 0.0
-    mix = np.zeros_like(p.entries)
-    for a in arrs:
-        mix = mix + a
-        if a.sum() <= 0:
-            continue
-        val += lambda0 * kl_extended(a.sum(axis=1), p.row_marginals)
-        val += lambda1 * kl_extended(a.sum(axis=0), p.col_marginals)
-        val -= kl_extended(a, p)
-    k_mix = kl_extended(mix, p)
-    if math.isinf(mu):
-        return val if k_mix <= 1e-9 else -math.inf
-    return val + (1.0 - mu) * k_mix
+    return arrs
 
 
 def _support(p: ProbabilityMatrix, mu: float):
@@ -188,10 +187,11 @@ def _support(p: ProbabilityMatrix, mu: float):
     return jj, kk, e[support]
 
 
-def _candidates(p: ProbabilityMatrix, l0: float, l1: float, mu: float):
-    """Exact (value, blocks, True) candidates of the regime at mu, in the
-    order the solver ranks them, and the concentrated-point weights w
-    (None outside 1 < mu < infinity).
+def _candidates(p: ProbabilityMatrix, l0: float, l1: float, mu: float,
+                support):
+    """Exact (value, blocks, True) candidates of the regime at mu over its
+    `_support`, in the order the solver ranks them, and the
+    concentrated-point weights w (None outside 1 < mu < infinity).
 
     The single block P (value 0) comes first.  Then, for mu <= 1, every
     vertex of the simplex over the support; for 1 < mu < infinity, the
@@ -202,7 +202,7 @@ def _candidates(p: ProbabilityMatrix, l0: float, l1: float, mu: float):
     """
     e = p.entries
     pr, pc = p.row_marginals, p.col_marginals
-    jj, kk, ps = _support(p, mu)
+    jj, kk, ps = support
     out = [(0.0, [e.copy()], True)]
     if mu <= 1:
         vertices = _scatter(e, jj, kk, np.eye(ps.size))
@@ -233,16 +233,18 @@ def info_floor(p: ProbabilityMatrix, query: InfoQuery) -> float:
     every start count and seed, with equality when a candidate wins
     (method "closed_form").
     """
-    cands, _ = _candidates(p, query.lambda0, query.lambda1, query.mu)
+    mu = query.mu
+    cands, _ = _candidates(p, query.lambda0, query.lambda1, mu, _support(p, mu))
     return max(v for v, _, _ in cands)
 
 
-def _single_term(p: ProbabilityMatrix, l0: float, l1: float, mu: float,
-                 n_starts: int, seed: int):
-    """Maximize l0 K(Q_row) + l1 K(Q_col) - mu K(Q||P) over prob matrices."""
+def _single_term(p: ProbabilityMatrix, support, l0: float, l1: float,
+                 mu: float, n_starts: int, seed: int):
+    """l0 K(Q_row) + l1 K(Q_col) - mu K(Q||P) over prob matrices Q on the
+    support, as (value_grad, starts, witness) for `_ascend`."""
     e = p.entries
     pr, pc = p.row_marginals, p.col_marginals
-    jj, kk, ps = _support(p, mu)
+    jj, kk, ps = support
     b0, b1 = e.shape
     n = ps.size
 
@@ -272,9 +274,8 @@ def _single_term(p: ProbabilityMatrix, l0: float, l1: float, mu: float,
     # start count with the cell count and vary the dispersion
     _random_starts(starts, max(n_starts, 4 * n), n,
                    derive_rng(seed, "single-term-starts"), (0.5, 1.5, 3.0))
-    return _ascend(value_grad, starts,
-                   lambda z: _scatter(e, jj, kk, _softmax(z)[None]),
-                   _candidates(p, l0, l1, mu)[0])
+    return (value_grad, starts,
+            lambda z: _scatter(e, jj, kk, _softmax(z)[None]))
 
 
 def _ascend(value_grad, starts, witness, candidates):
@@ -329,15 +330,17 @@ def _softmax(z, axis=None):
     return np.maximum(out, 1e-300)
 
 
-def _multi_block(p: ProbabilityMatrix, l0, l1, mu, n_starts, seed):
-    """Maximize the multi-block objective for finite mu > 1.
+def _multi_block(p: ProbabilityMatrix, support, w, l0, l1, mu, n_starts,
+                 seed):
+    """The multi-block objective for finite mu > 1, as (value_grad, starts,
+    witness) for `_ascend`; w are the concentrated-point weights.
 
     Blocks R_i = w_i Q_i with w = softmax(u) and each Q_i = softmax(Z_i)
     restricted to the support of P; b0*b1 blocks suffice by Caratheodory.
     """
     e = p.entries
     pr, pc = p.row_marginals, p.col_marginals
-    jj, kk, ps = _support(p, mu)
+    jj, kk, ps = support
     b0, b1 = e.shape
     n = ps.size
     nb = b0 * b1
@@ -380,8 +383,6 @@ def _multi_block(p: ProbabilityMatrix, l0, l1, mu, n_starts, seed):
         grad_z = q * (gq - np.sum(q * gq, axis=1, keepdims=True))
         return val, np.concatenate([grad_u, grad_z.ravel()])
 
-    candidates, w = _candidates(p, l0, l1, mu)
-
     # Start at the concentrated stationary point.
     z0 = np.full((nb, n), 0.0)
     u0 = np.full(nb, -_VERTEX_LOGIT)
@@ -398,18 +399,19 @@ def _multi_block(p: ProbabilityMatrix, l0, l1, mu, n_starts, seed):
         q = _softmax(x[nb:].reshape(nb, n), axis=1)
         return _scatter(e, jj, kk, (w[:, None] * q)[w >= 1e-12])
 
-    return _ascend(value_grad, starts, witness, candidates)
+    return value_grad, starts, witness
 
 
-def _infinite_mu(p: ProbabilityMatrix, l0, l1, n_starts, seed):
-    """mu = infinity: maximize over block splittings of P itself.
+def _infinite_mu(p: ProbabilityMatrix, support, l0, l1, n_starts, seed):
+    """mu = infinity: block splittings of P itself, as (value_grad, starts,
+    witness) for `_ascend`.
 
     The (1-mu) K(R_*||P) penalty forces R_* = P in the limit, so blocks are
     parametrized as r_{i,jk} = p_jk c_{i|jk} with a per-cell softmax over i.
     """
     e = p.entries
     pr, pc = p.row_marginals, p.col_marginals
-    jj, kk, ps = _support(p, math.inf)
+    jj, kk, ps = support
     b0, b1 = e.shape
     n = ps.size
     nb = n
@@ -443,8 +445,6 @@ def _infinite_mu(p: ProbabilityMatrix, l0, l1, n_starts, seed):
         grad_z = ps[None, :] * c * (g - np.sum(c * g, axis=0, keepdims=True))
         return val, grad_z.ravel()
 
-    candidates, _ = _candidates(p, l0, l1, math.inf)
-
     starts = [np.eye(nb).ravel() * _VERTEX_LOGIT, np.zeros(nb * n)]
     _random_starts(starts, n_starts, nb * n,
                    derive_rng(seed, "inf-mu-starts"), (1.5,))
@@ -453,15 +453,11 @@ def _infinite_mu(p: ProbabilityMatrix, l0, l1, n_starts, seed):
         r = ps[None, :] * _softmax(x.reshape(nb, n), axis=0)
         return _scatter(e, jj, kk, r[r.sum(axis=1) >= 1e-12])
 
-    return _ascend(value_grad, starts, witness, candidates)
+    return value_grad, starts, witness
 
 
-def info_numeric(
-    p: ProbabilityMatrix,
-    query: InfoQuery,
-    n_starts: int = 32,
-    seed: int = 20240,
-) -> InfoResult:
+def info_numeric(p: ProbabilityMatrix, query: InfoQuery, n_starts: int = 32,
+                 seed: int = 20240) -> InfoResult:
     """Numerically evaluate I(P, lambda0, lambda1, mu) with a witness.
 
     Multi-start L-BFGS-B ascent over a softmax parametrization; for
@@ -478,33 +474,31 @@ def info_numeric(
     matrix with full support, n_starts below 16 has no effect at finite mu.
     """
     l0, l1, mu = query.lambda0, query.lambda1, query.mu
+    support = _support(p, mu)
+    candidates, w = _candidates(p, l0, l1, mu, support)
     if math.isinf(mu):
-        val, blocks, exact, conv = _infinite_mu(p, l0, l1, n_starts, seed)
+        problem = _infinite_mu(p, support, l0, l1, n_starts, seed)
     elif mu > 1:
-        val, blocks, exact, conv = _multi_block(p, l0, l1, mu, n_starts, seed)
+        problem = _multi_block(p, support, w, l0, l1, mu, n_starts, seed)
     else:
-        val, blocks, exact, conv = _single_term(p, l0, l1, mu, n_starts, seed)
-    val = max(val, 0.0)
+        problem = _single_term(p, support, l0, l1, mu, n_starts, seed)
+    val, blocks, exact, conv = _ascend(*problem, candidates)
     witness = tuple(NonnegMatrix(np.asarray(b)) for b in blocks)
-    return InfoResult(
-        value=val,
-        witness=witness,
-        method="closed_form" if exact else "optimizer",
-        converged=conv,
-    )
+    return InfoResult(max(val, 0.0), witness,
+                      "closed_form" if exact else "optimizer", conv)
 
 
-@lru_cache(maxsize=100000)
+@functools.lru_cache(maxsize=100000)
 def _info_cached(p: ProbabilityMatrix, l0: float, l1: float, mu: float,
                  n_starts: int) -> float:
     return info_numeric(p, InfoQuery(l0, l1, mu), n_starts=n_starts).value
 
 
 def is_subconjugate(p: ProbabilityMatrix, lambda0: float, lambda1: float,
-                    tol: float = 1e-9, n_starts: int = 32):
+                    n_starts: int = 32):
     """Decide whether (lambda0, lambda1) is sub-conjugate for P.
 
-    Equivalent to I(P, lambda0, lambda1, 1) <= tol.  Returns
+    Equivalent to I(P, lambda0, lambda1, 1) <= SUBCONJ_TOL.  Returns
     (flag, witness_q, value); when the flag is False the witness is a
     probability matrix refuting the defining inequality.
     """
@@ -515,27 +509,24 @@ def is_subconjugate(p: ProbabilityMatrix, lambda0: float, lambda1: float,
         )
     res = info_numeric(p, InfoQuery(lambda0, lambda1, 1.0), n_starts=n_starts)
     q = np.asarray(res.witness[0].entries)
-    return res.value <= tol, q, res.value
+    return res.value <= SUBCONJ_TOL, q, res.value
 
 
-def subconjugate_frontier(
-    p: ProbabilityMatrix,
-    direction: tuple,
-    tol: float = 1e-4,
-    subconj_tol: float = 1e-9,
-    n_starts: int = 12,
-) -> tuple:
+def subconjugate_frontier(p: ProbabilityMatrix, direction: tuple,
+                          n_starts: int = 12) -> tuple:
     """Largest sub-conjugate point along a ray, clipped to the unit box.
 
     Scales t*(a0, a1), clips each coordinate at 1, and bisects for the
-    largest t that is still certified sub-conjugate.  The scan starts at
-    lambda0+lambda1 = 1 which is sub-conjugate for every P.  A point whose
-    info_floor already exceeds subconj_tol is rejected without an I solve;
-    the result is the same as with the solve.
+    largest t that is still certified sub-conjugate, to FRONTIER_WIDTH in
+    lambda.  The scan starts at lambda0+lambda1 = 1 which is sub-conjugate
+    for every P.  A point whose info_floor already exceeds SUBCONJ_TOL is
+    rejected without an I solve; the result is the same as with the solve.
     """
     a0, a1 = float(direction[0]), float(direction[1])
-    if a0 < 0 or a1 < 0 or a0 + a1 == 0:
-        raise DomainError(f"direction {direction} must be nonnegative, nonzero")
+    # written so that nan fails; an infinite coordinate would never settle
+    if not (0 <= a0 < math.inf and 0 <= a1 < math.inf and a0 + a1 > 0):
+        raise DomainError(
+            f"direction {direction} must be finite, nonnegative, nonzero")
 
     def lam(t):
         return min(t * a0, 1.0), min(t * a1, 1.0)
@@ -543,9 +534,9 @@ def subconjugate_frontier(
     def ok(t):
         l0, l1 = lam(t)
         # I >= info_floor, so a floor above the tolerance settles it unsolved
-        if info_floor(p, InfoQuery(l0, l1, 1.0)) > subconj_tol:
+        if info_floor(p, InfoQuery(l0, l1, 1.0)) > SUBCONJ_TOL:
             return False
-        return _info_cached(p, l0, l1, 1.0, n_starts) <= subconj_tol
+        return _info_cached(p, l0, l1, 1.0, n_starts) <= SUBCONJ_TOL
 
     if a0 == 0:
         return (0.0, 1.0)
@@ -555,7 +546,7 @@ def subconjugate_frontier(
     hi = 1.0 / min(a0, a1)  # both coordinates clipped at 1 beyond this
     if ok(hi):
         return lam(hi)
-    while (hi - lo) * max(a0, a1) > tol:
+    while (hi - lo) * max(a0, a1) > FRONTIER_WIDTH:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid
@@ -564,45 +555,29 @@ def subconjugate_frontier(
     return lam(lo)
 
 
-@lru_cache(maxsize=4096)
-def _frontier_sweep(p: ProbabilityMatrix, n_directions: int, tol: float,
-                    n_starts: int):
-    pts = [(1.0, 0.0), (0.0, 1.0)]
-    for theta in np.linspace(0.0, math.pi / 2, n_directions)[1:-1]:
-        pts.append(
-            subconjugate_frontier(p, (math.cos(theta), math.sin(theta)),
-                                  tol=tol, n_starts=n_starts)
-        )
-    return tuple(pts)
-
-
 def _check_bound_args(n0, n1, s) -> None:
     # written so that nan fails every comparison
     if not (1 <= n0 < math.inf and 1 <= n1 < math.inf and 0 < s <= 1):
         raise DomainError(f"need finite n0,n1 >= 1 and 0 < S <= 1, got {n0},{n1},{s}")
 
 
-def direct_lower_bound(
-    p: ProbabilityMatrix,
-    n0: float,
-    n1: float,
-    s: float,
-    n_directions: int = 64,
-    tol: float = 1e-4,
-    n_starts: int = 12,
-) -> float:
+def direct_lower_bound(p: ProbabilityMatrix, n0: float, n1: float, s: float,
+                       n_directions: int = 64, n_starts: int = 12) -> float:
     """Lower bound on W: S * max over certified sub-conjugate (l0, l1)
     of n0^l0 n1^l1, swept over a fan of frontier directions.
 
-    A coarse sweep only weakens the bound; every reported exponent pair is
-    certified sub-conjugate, so the bound is always valid.  n_starts is
-    the start floor of every frontier I solve (see info_numeric).
+    The fan is the two axis points and the frontier on each of the
+    n_directions - 2 interior directions.  A coarse sweep only weakens the
+    bound; every reported exponent pair is certified sub-conjugate, so the
+    bound is always valid.  n_starts is the start floor of every frontier
+    I solve (see info_numeric), whose values `_info_cached` keeps.
     """
     _check_bound_args(n0, n1, s)
-    best = 0.0
-    for l0, l1 in _frontier_sweep(p, n_directions, tol, n_starts):
-        best = max(best, n0**l0 * n1**l1)
-    return s * best
+    pts = [(1.0, 0.0), (0.0, 1.0)]
+    for theta in np.linspace(0.0, math.pi / 2, n_directions)[1:-1]:
+        pts.append(subconjugate_frontier(
+            p, (math.cos(theta), math.sin(theta)), n_starts=n_starts))
+    return s * max(n0**l0 * n1**l1 for l0, l1 in pts)
 
 
 def work_lower_bound(p_list, n0: float, n1: float, s: float,
@@ -748,12 +723,15 @@ def _constrained_points(p: float, resolution: int) -> np.ndarray:
 def conjecture_scan(p_values, resolution: int, tol: float = 1e-9) -> ScanReport:
     """Scan the 1/p-optimality inequality over the probability simplex.
 
-    For each p, evaluates the margin on the full 3-simplex at the given
-    resolution and on the fixed-marginal submanifold grid; margins below
-    -tol count as violations.
+    For each p in [1/2, 1], evaluates the margin on the full 3-simplex at
+    the given resolution and on the fixed-marginal submanifold grid;
+    margins below -tol (tol >= 0) count as violations.
     """
     if resolution < 10:
         raise DomainError(f"resolution {resolution} < 10")
+    # written so that nan fails
+    if not (tol >= 0 and all(0.5 <= p <= 1.0 for p in p_values)):
+        raise DomainError(f"need p in [1/2, 1] and tol >= 0, got {p_values}, {tol}")
     worst = math.inf
     worst_point = None
     violations = 0
@@ -782,13 +760,9 @@ def attainable_point(r_blocks, p: ProbabilityMatrix) -> AttainablePoint:
     Emits (sum_i K(R_i,row), sum_i K(R_i,col), K(R_*||P),
     -K(R_*||P) + sum_i K(R_i||P)).
     """
-    arrs = [np.asarray(getattr(b, "entries", b), dtype=float) for b in r_blocks]
-    total = sum(a.sum() for a in arrs)
-    if abs(total - 1.0) > 1e-9:
-        raise MassError(f"total block mass {total}, expected 1")
     m0 = m1 = ksum = 0.0
     mix = np.zeros_like(p.entries)
-    for a in arrs:
+    for a in _block_arrays(r_blocks):
         mix = mix + a
         if a.sum() <= 0:
             continue
@@ -808,8 +782,10 @@ def asymmetric_comparisons(p: float, n0: float, n1: float, epsilon: float):
     """
     if not 0.5 < p < 1.0:
         raise DomainError(f"p={p} must lie strictly inside (1/2, 1)")
-    if n0 <= 1 or n1 <= 1 or not 0 < epsilon < 1:
-        raise DomainError(f"need n0,n1 > 1 and 0 < eps < 1")
+    # written so that nan fails
+    if not (1 < n0 < math.inf and 1 < n1 < math.inf and 0 < epsilon < 1):
+        raise DomainError(
+            f"need finite n0,n1 > 1 and 0 < eps < 1, got {n0},{n1},{epsilon}")
     num = math.log(n0) + math.log(n1) - 2 * (2 * p - 1) * math.sqrt(
         math.log(n0) * math.log(n1)
     )

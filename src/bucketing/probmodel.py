@@ -173,8 +173,8 @@ def kl_extended(r, p) -> float:
     if np.any(rr < 0):
         raise NegativeEntry("R must be nonnegative")
     total = rr.sum()
-    if total <= 0:
-        raise MassError("R must have positive total mass")
+    if not 0 < total < np.inf:  # also catches a nan or infinite entry
+        raise MassError(f"R must have finite positive total mass, got {total}")
     mask = rr > 0
     if np.any(pp[mask] == 0):
         raise SupportViolation("R puts mass where P has none")

@@ -353,15 +353,11 @@ def result_row(experiment_id: str, code: BucketingCode, p_value,
     }
 
 
-def write_csv(rows, out=None) -> str:
-    """Serialize experiment rows; returns the CSV text (and writes `out`)."""
+def write_csv(rows) -> str:
+    """Serialize experiment rows to CSV text."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    text = buf.getvalue()
-    if out is not None:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()

@@ -89,8 +89,8 @@ class TestSubcommands:
         assert "witness" in out
 
     def test_bound_starts_reach_frontier(self, monkeypatch, capsys):
-        # no other test sweeps with 40 starts, so the sweep's cache misses;
-        # the caches stay warm for the later, costlier bound tests
+        # direct_lower_bound calls subconjugate_frontier on every interior
+        # direction; the I cache stays warm for the later bound tests
         real = information.subconjugate_frontier
         seen = []
 
@@ -150,6 +150,14 @@ class TestSubcommands:
         )
         assert code == 0
         assert "violations: 0" in out
+
+    @pytest.mark.parametrize("grid", ["2:3:0.5", "0.2"])
+    def test_conjecture_rejects_p_outside_range(self, grid, capsys):
+        code, out, err = run_cli(
+            ["conjecture", "--p-grid", grid, "--resolution", "12"], capsys)
+        assert code == 1
+        assert "error" in err
+        assert out == ""
 
     def test_baseline_lists_exponents(self, capsys):
         code, out, _ = run_cli(["baseline", "--p", "0.8"], capsys)

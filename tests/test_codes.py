@@ -358,6 +358,37 @@ class TestCombinators:
         )
         assert cubed.work(100, 40) == pytest.approx(direct)
 
+    def test_tensor_groups_are_multisets(self):
+        # float products are not associative, so keying groups by measure
+        # pair split this base's powers into 11, 20 and 33 groups
+        R = make_matrix([[0.5, 0.1], [0.15, 0.25]])
+        base = concatenate(
+            typeclass_code(R, 3, [R.entries], T=1),
+            concatenate(shell_code(3, 2, 1), classical_code(3, 1, 1)),
+            "blocks")
+        per_bucket = [g for c, *g in base.bucket_probs() for _ in range(c)]
+        group_of = [i for i, (c, _, _) in enumerate(base.bucket_probs())
+                    for _ in range(c)]
+        for k in (3, 4, 5):
+            # group the base^k composite buckets, in lexicographic id order,
+            # by the multiset of their components' groups
+            expected = {}
+            for ids in itertools.product(range(base.T), repeat=k):
+                key = tuple(sorted(group_of[t] for t in ids))
+                count, p0, p1 = expected.get(key, (0, 1.0, 1.0))
+                if not count:
+                    p0 = math.prod(per_bucket[t][0] for t in ids)
+                    p1 = math.prod(per_bucket[t][1] for t in ids)
+                expected[key] = (count + 1, p0, p1)
+            groups = tensor_power(base, k).bucket_probs()
+            assert len(groups) == len(expected) == math.comb(3 + k - 1, k)
+            for (c, p0, p1), (ec, e0, e1) in zip(groups, expected.values()):
+                assert c == ec
+                assert p0 == pytest.approx(e0, rel=1e-14)
+                assert p1 == pytest.approx(e1, rel=1e-14)
+        with pytest.raises(TooLarge):  # C(1502, 1500) > 2^20 groups
+            tensor_power(base, 1500).bucket_probs()
+
     def test_tensor_bucket_count(self):
         base = shell_code(4, 2, 3, seed=8)
         assert tensor_power(base, 3).T == 27

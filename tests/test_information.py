@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bucketing import information
 from bucketing.errors import DomainError, MassError, SupportViolation
@@ -100,6 +102,58 @@ class TestClosedForm:
         # mu = inf is a regime of its own; nan and infinite lambdas are not
         with pytest.raises(DomainError):
             InfoQuery(*query)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lam=st.floats(-10, 10), bad_lam=st.sampled_from(
+               [math.nan, math.inf, -math.inf]),
+           mu=st.floats(0, 1e6) | st.just(math.inf),
+           bad_mu=st.floats(max_value=-1e-300) | st.just(math.nan),
+           which=st.integers(0, 1))
+    def test_query_validation_property(self, lam, bad_lam, mu, bad_mu, which):
+        # finite lambdas with mu >= 0 (inf included) pass; a non-finite
+        # lambda in either place, or a nan or negative mu, raises
+        InfoQuery(lam, -lam, mu)
+        lams = [lam, lam]
+        lams[which] = bad_lam
+        with pytest.raises(DomainError):
+            InfoQuery(*lams, mu)
+        with pytest.raises(DomainError):
+            InfoQuery(lam, lam, bad_mu)
+
+
+NAN_BLOCK = [[math.nan, 0.5], [0.25, 0.25]]
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: info_closed_form(BERN9, math.nan), DomainError),
+    (lambda: asymmetric_comparisons(0.8, math.nan, 100, 0.1), DomainError),
+    (lambda: asymmetric_comparisons(0.8, math.inf, 100, 0.1), DomainError),
+    (lambda: asymmetric_comparisons(0.8, 100, math.inf, 0.1), DomainError),
+    (lambda: conjecture_scan([2.0], 12), DomainError),
+    (lambda: conjecture_scan([math.nan], 12), DomainError),
+    (lambda: conjecture_scan([0.4], 12), DomainError),
+    (lambda: conjecture_scan([0.75], 12, tol=math.nan), DomainError),
+    (lambda: conjecture_scan([0.75], 12, tol=-1e-3), DomainError),
+    (lambda: subconjugate_frontier(BERN9, (math.inf, 1.0)), DomainError),
+    (lambda: kl_extended([math.nan, 1.0], [0.5, 0.5]), MassError),
+    (lambda: attainable_point([NAN_BLOCK], BERN9), MassError),
+    (lambda: block_objective(BERN9, [NAN_BLOCK], 1.0, 1.0, 0.5), MassError),
+    (lambda: block_objective(BERN9, [BERN9.entries], 1.0, 1.0, math.nan),
+     DomainError),
+    (lambda: block_objective(BERN9, [BERN9.entries], math.inf, 1.0, 0.5),
+     DomainError),
+], ids=[
+    "closed-form-nan-mu", "comparisons-nan-n0", "comparisons-inf-n0",
+    "comparisons-inf-n1", "scan-p-above-1", "scan-nan-p", "scan-p-below-half",
+    "scan-nan-tol", "scan-negative-tol", "frontier-inf-direction",
+    "kl-nan-entry", "attainable-nan-block", "objective-nan-block",
+    "objective-nan-mu", "objective-inf-lambda",
+])
+def test_bad_input_raises(call, error):
+    # each of these used to return nan, a clean report, or (the infinite
+    # frontier direction) never return
+    with pytest.raises(error):
+        call()
 
 
 class TestInfoNumeric:

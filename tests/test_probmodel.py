@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bucketing.errors import (
     MassError,
@@ -91,6 +93,58 @@ class TestMakeMatrix:
         bad = json.dumps({"rows": 2, "cols": 3, "entries": [[0.5, 0.5]]})
         with pytest.raises(NotNormalized):
             matrix_from_json(bad)
+
+
+@st.composite
+def matrices(draw):
+    """A probability matrix of up to 4x4, often with zero cells."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    w = draw(st.lists(st.just(0.0) | st.floats(1e-6, 1.0),
+                      min_size=rows * cols, max_size=rows * cols)
+             .filter(lambda w: sum(w) > 0))
+    return make_matrix(np.array(w).reshape(rows, cols) / sum(w))
+
+
+class TestMatrixProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p=matrices())
+    def test_json_round_trip(self, p):
+        q = matrix_from_json(p.to_json())
+        assert q == p
+        assert q.row_marginals.tobytes() == p.row_marginals.tobytes()
+        assert q.col_marginals.tobytes() == p.col_marginals.tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(p=matrices(), rows=st.integers(1, 5), cols=st.integers(1, 5))
+    def test_json_declared_shape_must_match(self, p, rows, cols):
+        text = json.dumps({"rows": rows, "cols": cols,
+                           "entries": p.entries.tolist()})
+        if (rows, cols) == p.entries.shape:
+            assert matrix_from_json(text) == p
+        else:
+            with pytest.raises(NotNormalized):
+                matrix_from_json(text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p=matrices(), data=st.data(), bad=st.sampled_from(
+        ["negative", "-inf", "inf", "nan"]))
+    def test_bad_entry_rejected(self, p, data, bad):
+        e = p.entries.copy()
+        cell = data.draw(st.integers(0, e.size - 1))
+        e.ravel()[cell] = {
+            "negative": -data.draw(st.floats(1e-300, 1e3)),
+            "-inf": -math.inf, "inf": math.inf, "nan": math.nan,
+        }[bad]
+        error = NegativeEntry if bad in ("negative", "-inf") else NotNormalized
+        with pytest.raises(error):
+            make_matrix(e)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p=matrices(), off=st.floats(2e-9, 10.0) | st.floats(-0.9, -2e-9))
+    def test_total_off_by_more_than_tolerance_rejected(self, p, off):
+        # entries summing to 1 + off, with |off| > 1e-9
+        with pytest.raises(NotNormalized):
+            make_matrix(p.entries * (1.0 + off))
 
 
 class TestBernoulliMatrix:
