@@ -188,12 +188,32 @@ def mutual_information(p: ProbabilityMatrix) -> float:
     return float(np.sum(p.entries[mask] * np.log(p.entries[mask] / outer[mask])))
 
 
+# one comparison pass over a draw's uniforms costs about as much as
+# bisecting this many of them, so a draw is counted by passes once it has
+# this many uniforms per pass
+_DRAWS_PER_PASS = 512
+
+
 def _draw(rng: np.random.Generator, probs: np.ndarray, shape) -> np.ndarray:
     """Indices drawn i.i.d. from `probs`: the draws of
-    rng.choice(len(probs), shape, p=probs), without its per-call checks."""
+    rng.choice(len(probs), shape, p=probs), without its per-call checks.
+
+    Each uniform u maps to the number of cdf steps at or below it, which is
+    searchsorted(cdf, u, side="right"), since the cumulative sum never
+    decreases and its last step is exactly 1 > u.  A draw over at most 256
+    indices with at least _DRAWS_PER_PASS uniforms per step below the last
+    counts those steps in uint8, one comparison pass each; a smaller or
+    wider draw bisects the cdf and returns intp indices.
+    """
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(shape), side="right")
+    u = rng.random(shape)
+    if len(cdf) > 256 or u.size < _DRAWS_PER_PASS * (len(cdf) - 1):
+        return cdf.searchsorted(u, side="right")
+    out = (u >= cdf[0]).view(np.uint8)
+    for step in cdf[1:-1]:
+        out += u >= step
+    return out
 
 
 def generate_dataset(
@@ -212,16 +232,16 @@ def generate_dataset(
         raise OutOfRange(f"d={d}, n0={n0}, n1={n1} must all be >= 1")
     if max(p.rows, p.cols) > 256:
         raise TooLarge(f"a {p.rows}x{p.cols} matrix has symbols beyond uint8")
-    x0 = _draw(derive_rng(seed, "x0"), p.row_marginals, (n0, d))
-    x1 = _draw(derive_rng(seed, "x1"), p.col_marginals, (n1, d))
+    x0 = _draw(derive_rng(seed, "x0"), p.row_marginals,
+               (n0, d)).astype(np.uint8, copy=False)
+    x1 = _draw(derive_rng(seed, "x1"), p.col_marginals,
+               (n1, d)).astype(np.uint8, copy=False)
     idx_rng = derive_rng(seed, "planted_index")
     i0 = int(idx_rng.integers(n0))
     i1 = int(idx_rng.integers(n1))
     cells = _draw(derive_rng(seed, "planted_pair"), p.entries.ravel(), d)
-    x0 = x0.astype(np.uint8)
-    x1 = x1.astype(np.uint8)
-    x0[i0] = cells // p.cols
-    x1[i1] = cells % p.cols
+    # intp, because uint8 cells cannot be divided by 256 columns
+    x0[i0], x1[i1] = np.divmod(cells, p.cols, dtype=np.intp)
     x0.flags.writeable = False
     x1.flags.writeable = False
     return DatasetPair(d=d, x0_points=x0, x1_points=x1, planted=(i0, i1), seed=seed)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import BucketingCode, code_success_exact, shell_analytics
-from .errors import DimensionMismatch, DomainError, TooLarge
+from .errors import DimensionMismatch, DomainError, OutOfRange, TooLarge
 from .probmodel import ProbabilityMatrix, generate_dataset, make_matrix
 from .rng import derive_rng
 
@@ -60,6 +60,10 @@ class ExponentRow:
 # bounds the loop's speed from 2^6 points up, while the heap that a chunk's
 # temporaries leave behind adds to peak RSS from 2^10 points up
 _TRIAL_CHUNK = 1 << 8
+# comparisons are counted by a key histogram while its length is at most
+# this many times the entry count; past that, sorting both sides is cheaper
+# and holds no array of the largest key's length
+_DENSE_KEYS_PER_ENTRY = 4
 
 
 def _trial_seed(seed: int, t: int) -> int:
@@ -78,12 +82,23 @@ def _chunk_memberships(code: BucketingCode, points: list, side: int):
 
 
 def _co_keyed_pairs(keys0: np.ndarray, keys1: np.ndarray) -> int:
-    """Number of (side-0, side-1) entry pairs with equal keys: each side-1
-    key meets every equal side-0 key, found by bisection on the sorted
-    side-0 keys."""
+    """Number of (side-0, side-1) entry pairs with equal nonnegative keys,
+    sum over keys of c0(key) * c1(key).
+
+    When the largest key is below _DENSE_KEYS_PER_ENTRY times the entry
+    count, both sides' counts come from one bincount each and meet in a dot
+    product.  Sparser keys, such as tensor-power bucket ids up to 2^62, are
+    sorted on both sides, and each side-1 key's run of equal side-0 keys is
+    found by bisection, which sorted needles keep cache-friendly.
+    """
+    top = int(max(keys0.max(initial=-1), keys1.max(initial=-1))) + 1
+    if top <= _DENSE_KEYS_PER_ENTRY * (keys0.size + keys1.size):
+        return int(np.dot(np.bincount(keys0, minlength=top),
+                          np.bincount(keys1, minlength=top)))
     sorted0 = np.sort(keys0)
-    return int(np.sum(np.searchsorted(sorted0, keys1, side="right")
-                      - np.searchsorted(sorted0, keys1)))
+    sorted1 = np.sort(keys1)
+    return int(np.sum(np.searchsorted(sorted0, sorted1, side="right")
+                      - np.searchsorted(sorted0, sorted1)))
 
 
 def _planted_keys(rows: np.ndarray, keys: np.ndarray,
@@ -112,10 +127,15 @@ def run_experiment(
     summed over buckets, sum_t |B0_t & X0| |B1_t & X1|.  Trials are sampled
     one by one and counted in chunks: a chunk's points take one membership
     call per side, and its memberships are told apart by trial-offset bucket
-    keys.  Chunking changes no sample and no count.
+    keys.  Comparisons are the pairs of equal keys across the two sides,
+    from per-key counts when the keys are dense and from both sides' sorted
+    keys otherwise (see _co_keyed_pairs).  Chunking changes no sample and
+    no count.  Raises OutOfRange unless n0, n1 >= 1.
     """
     if trials < 1:
         raise DomainError(f"trials={trials} must be >= 1")
+    if n0 < 1 or n1 < 1:
+        raise OutOfRange(f"n0={n0}, n1={n1} must both be >= 1")
     if d != code.d:
         raise DimensionMismatch(f"dataset d={d} but code has d={code.d}")
     # keys trial * T + bucket of a chunk must fit in int64

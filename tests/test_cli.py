@@ -2,12 +2,16 @@ import csv
 import io
 import json
 import math
+import pathlib
 
 import pytest
 
 from bucketing import cli, information
 from bucketing.cli import dispatch
 from bucketing.probmodel import make_matrix
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run_cli(argv, capsys):
@@ -234,6 +238,30 @@ class TestSimulate:
         if not buckets:
             assert (row["successes"], row["mean_comparisons"],
                     row["predicted_W"]) == ("0", "0.0", "0.0")
+
+    def test_classical_scale_golden_output(self, capsys):
+        # 10^4 points per side in 65536 buckets: the regime where
+        # comparisons are counted from per-bucket counts
+        code, out, _ = run_cli(
+            ["simulate", "--code", "classical", "--d", "64", "--k", "13",
+             "--T", "8", "--n0", "10000", "--n1", "10000", "--p", "0.9",
+             "--trials", "2", "--seed", "5"], capsys)
+        assert code == 0
+        golden = GOLDEN / "simulate-classical-scale.txt"
+        assert out.encode() == golden.read_bytes()
+
+    @pytest.mark.parametrize("n0, n1", [("0", "0"), ("0", "4"), ("4", "0")])
+    def test_empty_point_set_is_error(self, n0, n1, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "sys.argv", ["bucketing", "simulate", "--code", "classical",
+                         "--d", "8", "--k", "2", "--n0", n0, "--n1", n1,
+                         "--p", "0.9", "--trials", "3"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 1
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_classical_requires_k(self, capsys):
         code, _, _ = run_cli(

@@ -229,6 +229,12 @@ class TestKlExtended:
         assert mutual_information(p) == pytest.approx(kl_extended(p, prod))
 
 
+# 256 rows, four of them positive
+SPARSE_256_ROWS = np.zeros((256, 2))
+SPARSE_256_ROWS[[0, 77, 200, 255]] = [[0.1, 0.05], [0.2, 0.1],
+                                      [0.05, 0.15], [0.25, 0.1]]
+
+
 class TestGenerateDataset:
     def test_deterministic(self):
         p = bernoulli_matrix(0.9)
@@ -288,23 +294,35 @@ class TestGenerateDataset:
         [[0.2, 0.0, 0.3], [0.0, 0.5, 0.0]],
         [[0.1, 0.0], [0.3, 0.2], [0.0, 0.4]],
         [[0.0, 1.0]],
+        SPARSE_256_ROWS,
+        SPARSE_256_ROWS.sum(axis=1)[None],
     ])
     def test_draws_match_numpy_choice(self, entries):
         # the sampler inverts the cdf exactly as Generator.choice(p=...)
         # does; a numpy release that changes choice's draws fails here
         p = make_matrix(entries)
-        for seed in range(25):
-            ds = generate_dataset(p, 7, 3, 5, seed)
-            x0 = derive_rng(seed, "x0").choice(
-                p.rows, size=(3, 7), p=p.row_marginals)
-            x1 = derive_rng(seed, "x1").choice(
-                p.cols, size=(5, 7), p=p.col_marginals)
-            cells = derive_rng(seed, "planted_pair").choice(
-                p.rows * p.cols, size=7, p=p.entries.ravel())
-            i0, i1 = ds.planted
-            x0[i0], x1[i1] = cells // p.cols, cells % p.cols
-            assert np.array_equal(ds.x0_points, x0)
-            assert np.array_equal(ds.x1_points, x1)
+        shapes = [
+            (7, 3, 5, 25),
+            # 1- to 3-symbol marginals are counted by comparison passes
+            (40, 30, 26, 5),
+            # and so are 256 symbols
+            (120, 1100, 1090, 2),
+            # and 256 planted cells, whose columns then split a uint8 draw
+            (130560, 1, 1, 2),
+        ]
+        for d, n0, n1, seeds in shapes:
+            for seed in range(seeds):
+                ds = generate_dataset(p, d, n0, n1, seed)
+                x0 = derive_rng(seed, "x0").choice(
+                    p.rows, size=(n0, d), p=p.row_marginals)
+                x1 = derive_rng(seed, "x1").choice(
+                    p.cols, size=(n1, d), p=p.col_marginals)
+                cells = derive_rng(seed, "planted_pair").choice(
+                    p.rows * p.cols, size=d, p=p.entries.ravel())
+                i0, i1 = ds.planted
+                x0[i0], x1[i1] = cells // p.cols, cells % p.cols
+                assert np.array_equal(ds.x0_points, x0)
+                assert np.array_equal(ds.x1_points, x1)
 
     def test_symbols_beyond_uint8_rejected(self):
         wide = np.zeros((300, 2))

@@ -1,9 +1,12 @@
 import csv
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bucketing import simharness
 from bucketing.codes import (
@@ -17,7 +20,12 @@ from bucketing.codes import (
     tensor_power,
     typeclass_code,
 )
-from bucketing.errors import DimensionMismatch, DomainError, TooLarge
+from bucketing.errors import (
+    DimensionMismatch,
+    DomainError,
+    OutOfRange,
+    TooLarge,
+)
 from bucketing.probmodel import bernoulli_matrix, generate_dataset, make_matrix
 from bucketing.rng import derive_rng
 from bucketing.simharness import (
@@ -127,6 +135,58 @@ class TestChunkedTrials:
             # the default chunk holds all 40 trials, the small one 3 to 5
             assert (len(loop) == 2) == (chunk is None)
 
+    def test_dense_keys_match_per_trial_loop(self, monkeypatch):
+        # at n0 = n1 = 3000 a chunk is one trial, whose 48000 memberships
+        # fall in 65536 buckets: dense enough for key counts
+        code, p = classical_code(64, 13, 8), bernoulli_matrix(0.9)
+        histograms = []
+        inner = np.bincount
+
+        def spy(keys, minlength=0):
+            histograms.append(minlength)
+            return inner(keys, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        got = run_experiment(code, p, code.d, 3000, 3000, 3, seed=3)
+        monkeypatch.setattr(np, "bincount", inner)
+        assert len(histograms) == 6 and max(histograms) <= code.T
+        want = per_trial_reference(code, p, code.d, 3000, 3000, 3, seed=3)
+        assert repr(got) == repr(want)
+
+
+@st.composite
+def key_sides(draw, top):
+    """Two int64 key arrays below `top`, drawn from one pool of up to six
+    keys so that equal keys recur across the sides."""
+    pool = draw(st.lists(st.integers(0, top - 1), min_size=1, max_size=6))
+    side = st.lists(st.sampled_from(pool), max_size=40)
+    return (np.array(draw(side), dtype=np.int64),
+            np.array(draw(side), dtype=np.int64))
+
+
+class TestCoKeyedPairs:
+    # keys below 4 are always dense; a key of 2^62 on both sides forces
+    # the sort
+    @pytest.mark.parametrize("empty", [None, 0, 1],
+                             ids=["both", "empty0", "empty1"])
+    @pytest.mark.parametrize("top, dense", [(4, True), (2**62 + 1, False)],
+                             ids=["dense", "sparse"])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_brute_force(self, top, dense, empty, data):
+        sides = list(data.draw(key_sides(top)))
+        if not dense:
+            sides = [np.append(keys, top - 1) for keys in sides]
+        if empty is not None:
+            sides[empty] = sides[empty][:0]
+        keys0, keys1 = sides
+        largest = max(keys0.max(initial=-1), keys1.max(initial=-1))
+        assert (largest < simharness._DENSE_KEYS_PER_ENTRY
+                * (keys0.size + keys1.size)) == dense
+        count1 = Counter(keys1.tolist())
+        want = sum(count1[key] for key in keys0.tolist())
+        assert simharness._co_keyed_pairs(keys0, keys1) == want
+
 
 class TestRunExperiment:
     def test_full_space_always_succeeds(self):
@@ -182,6 +242,12 @@ class TestRunExperiment:
         with pytest.raises(DimensionMismatch):
             run_experiment(full_space_code(4), bernoulli_matrix(0.8),
                            5, 2, 2, 5, seed=0)
+
+    @pytest.mark.parametrize("n0, n1", [(0, 0), (0, 5), (5, 0), (-1, 2)])
+    def test_point_counts_must_be_positive(self, n0, n1):
+        with pytest.raises(OutOfRange):
+            run_experiment(full_space_code(4), bernoulli_matrix(0.8),
+                           4, n0, n1, 5, seed=0)
 
 
 class TestBaselines:
