@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 
 from .codes import (
@@ -85,10 +87,20 @@ def _config_header(args) -> str:
 
 
 def _emit(args, text: str) -> None:
+    """Write the header and `text` to stdout, or over the --out file.
+
+    An existing --out file is rewritten in place and then cut at the end of
+    the payload, since truncating it to zero first can cost tens of
+    milliseconds where freed blocks are discarded.  Only a regular file is
+    cut, so devices such as /dev/stdout and /dev/null work as targets.
+    """
     payload = _config_header(args) + text
     if getattr(args, "out", None):
-        with open(args.out, "w", newline="") as fh:
-            fh.write(payload)
+        with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666),
+                  "wb") as fh:
+            fh.write(payload.encode())
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     else:
         sys.stdout.write(payload)
 

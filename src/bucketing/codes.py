@@ -156,7 +156,6 @@ class ClassicalCode(BucketingCode):
                 for t in range(draws)
             ]
         ) if draws else np.zeros((0, k), dtype=int)
-        self._weights = (1 << np.arange(k, dtype=np.int64))
 
     @property
     def T(self) -> int:
@@ -166,13 +165,18 @@ class ClassicalCode(BucketingCode):
         return [(self.T, 2.0**-self.k, 2.0**-self.k)]
 
     def membership(self, points, side):
-        n = len(points)
-        patterns = np.asarray(points)[:, self.coords.reshape(-1)].astype(
-            np.int64).reshape(n, self.draws, self.k)
-        ids = patterns @ self._weights
-        ids += (np.arange(self.draws, dtype=np.int64) << self.k)[None, :]
+        # id = draw * 2^k + sum_j symbol_j 2^j by Horner's rule over the
+        # draws' j-th coordinates, gathered as rows of the transposed points;
+        # uint64 wraps mod 2^64 as the int64 ids do at large k
+        columns = np.ascontiguousarray(np.asarray(points).T)
+        n = columns.shape[1]
+        ids = np.empty((self.draws, n), dtype=np.uint64)
+        ids[:] = np.arange(self.draws, dtype=np.uint64)[:, None]
+        for j in range(self.k - 1, -1, -1):
+            ids <<= np.uint64(1)
+            ids += columns[self.coords[:, j]]
         rows = np.repeat(np.arange(n, dtype=np.int64), self.draws)
-        return rows, ids.reshape(-1)
+        return rows, ids.view(np.int64).T.reshape(-1)
 
     def descriptor(self):
         return {"kind": "classical", "d": self.d, "T": self.T, "seed": self.seed,

@@ -216,6 +216,35 @@ def _draw(rng: np.random.Generator, probs: np.ndarray, shape) -> np.ndarray:
     return out
 
 
+# the tags of generate_dataset's four sub-streams, in sample_planted's
+# argument order
+DATASET_STREAMS = ("x0", "x1", "planted_index", "planted_pair")
+
+
+def check_planted_args(p: ProbabilityMatrix, d: int, n0: int, n1: int) -> None:
+    """Raise what generate_dataset raises for its sizes and matrix."""
+    if d < 1 or n0 < 1 or n1 < 1:
+        raise OutOfRange(f"d={d}, n0={n0}, n1={n1} must all be >= 1")
+    if max(p.rows, p.cols) > 256:
+        raise TooLarge(f"a {p.rows}x{p.cols} matrix has symbols beyond uint8")
+
+
+def sample_planted(p: ProbabilityMatrix, d: int, n0: int, n1: int,
+                   x0_rng, x1_rng, index_rng, pair_rng) -> tuple:
+    """The sampling body of generate_dataset, from one generator per
+    DATASET_STREAMS tag: (x0, x1, i0, i1), points as uint8 arrays and the
+    planted indices as ints.  Arguments are not checked (check_planted_args).
+    """
+    x0 = _draw(x0_rng, p.row_marginals, (n0, d)).astype(np.uint8, copy=False)
+    x1 = _draw(x1_rng, p.col_marginals, (n1, d)).astype(np.uint8, copy=False)
+    i0 = int(index_rng.integers(n0))
+    i1 = int(index_rng.integers(n1))
+    cells = _draw(pair_rng, p.entries.ravel(), d)
+    # intp, because uint8 cells cannot be divided by 256 columns
+    x0[i0], x1[i1] = np.divmod(cells, p.cols, dtype=np.intp)
+    return x0, x1, i0, i1
+
+
 def generate_dataset(
     p: ProbabilityMatrix, d: int, n0: int, n1: int, seed: int
 ) -> DatasetPair:
@@ -228,20 +257,9 @@ def generate_dataset(
     mutually independent.  Points are stored as uint8, so P may have at
     most 256 rows and 256 columns (TooLarge otherwise).
     """
-    if d < 1 or n0 < 1 or n1 < 1:
-        raise OutOfRange(f"d={d}, n0={n0}, n1={n1} must all be >= 1")
-    if max(p.rows, p.cols) > 256:
-        raise TooLarge(f"a {p.rows}x{p.cols} matrix has symbols beyond uint8")
-    x0 = _draw(derive_rng(seed, "x0"), p.row_marginals,
-               (n0, d)).astype(np.uint8, copy=False)
-    x1 = _draw(derive_rng(seed, "x1"), p.col_marginals,
-               (n1, d)).astype(np.uint8, copy=False)
-    idx_rng = derive_rng(seed, "planted_index")
-    i0 = int(idx_rng.integers(n0))
-    i1 = int(idx_rng.integers(n1))
-    cells = _draw(derive_rng(seed, "planted_pair"), p.entries.ravel(), d)
-    # intp, because uint8 cells cannot be divided by 256 columns
-    x0[i0], x1[i1] = np.divmod(cells, p.cols, dtype=np.intp)
+    check_planted_args(p, d, n0, n1)
+    x0, x1, i0, i1 = sample_planted(
+        p, d, n0, n1, *(derive_rng(seed, tag) for tag in DATASET_STREAMS))
     x0.flags.writeable = False
     x1.flags.writeable = False
     return DatasetPair(d=d, x0_points=x0, x1_points=x1, planted=(i0, i1), seed=seed)

@@ -12,13 +12,21 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .codes import BucketingCode, code_success_exact, shell_analytics
 from .errors import DimensionMismatch, DomainError, OutOfRange, TooLarge
-from .probmodel import ProbabilityMatrix, generate_dataset, make_matrix
-from .rng import derive_rng
+from .probmodel import (
+    DATASET_STREAMS,
+    ProbabilityMatrix,
+    check_planted_args,
+    generate_dataset,
+    make_matrix,
+    sample_planted,
+)
+from .rng import derive_rng, derive_states
 
 CSV_FIELDS = [
     "experiment_id", "kind", "d", "d0", "p", "n0", "n1", "T", "trials",
@@ -56,18 +64,53 @@ class ExponentRow:
     limit_ln_T_over_d: float
 
 
-# max sampled points per side in one chunk of trials; stream derivation
-# bounds the loop's speed from 2^6 points up, while the heap that a chunk's
-# temporaries leave behind adds to peak RSS from 2^10 points up
+# max sampled points per side in one chunk of trials; from 2^6 points up the
+# loop's speed is bound by each trial's own work, about 20 us at n0 = n1 = 2
+# to derive, load and draw from its five streams, while the heap that a
+# chunk's temporaries leave behind adds to peak RSS from 2^10 points up
 _TRIAL_CHUNK = 1 << 8
+# trials whose streams are derived in one batch; a batch has a fixed cost of
+# about 80 us, 50 streams' worth, and its state dicts take about 0.5 kB a
+# stream, which at 2^8 trials raised mc-exact's peak RSS by 1 MiB
+_STREAM_BATCH = 1 << 7
 # comparisons are counted by a key histogram while its length is at most
 # this many times the entry count; past that, sorting both sides is cheaper
 # and holds no array of the largest key's length
 _DENSE_KEYS_PER_ENTRY = 4
 
 
-def _trial_seed(seed: int, t: int) -> int:
-    return int(derive_rng(seed, "trial", t).integers(1 << 62))
+def _trial_batches(seed: int, trials: int, *tags):
+    """Yield, _STREAM_BATCH trials t < trials at a time, the trials' dataset
+    seeds (the first integers(2^62) of stream (seed, "trial", t)) and the
+    states of streams (seed, tag, t) for each tag of `tags`, tag by tag;
+    all derived in one batch by derive_states."""
+    gen = np.random.default_rng(0)
+    for first in range(0, trials, _STREAM_BATCH):
+        ts = range(first, min(first + _STREAM_BATCH, trials))
+        states = derive_states([(seed, tag, t) for tag in ("trial",) + tags
+                                for t in ts])
+        seeds = []
+        for state in states[:len(ts)]:
+            gen.bit_generator.state = state
+            seeds.append(int(gen.integers(1 << 62)))
+        yield seeds, states[len(ts):]
+
+
+def _planted_trials(p: ProbabilityMatrix, d: int, n0: int, n1: int,
+                    seed: int, trials: int):
+    """Yield (x0, x1, i0, i1) for each trial t < trials, the draws of
+    generate_dataset(p, d, n0, n1, s_t) with s_t the trial's dataset seed
+    (see _trial_batches).  A batch of trials derives its dataset streams at
+    once, and each trial loads its four into generators that are reused."""
+    check_planted_args(p, d, n0, n1)
+    gens = [np.random.default_rng(0) for _ in DATASET_STREAMS]
+    for seeds, _ in _trial_batches(seed, trials):
+        states = derive_states([(s, tag) for s in seeds
+                                for tag in DATASET_STREAMS])
+        for j in range(0, len(states), len(gens)):
+            for gen, state in zip(gens, states[j:j + len(gens)]):
+                gen.bit_generator.state = state
+            yield sample_planted(p, d, n0, n1, *gens)
 
 
 def _chunk_memberships(code: BucketingCode, points: list, side: int):
@@ -122,7 +165,8 @@ def run_experiment(
     """Estimate S and operation counts over `trials` independent datasets.
 
     Each trial draws a fresh dataset from its own derived sub-streams, so the
-    result is a pure function of the arguments.  Lookups count bucket
+    result is a pure function of the arguments; the streams are derived in
+    batches of trials (see _planted_trials), which changes no draw.  Lookups count bucket
     memberships over all points; comparisons count co-bucketed point pairs
     summed over buckets, sum_t |B0_t & X0| |B1_t & X1|.  Trials are sampled
     one by one and counted in chunks: a chunk's points take one membership
@@ -141,17 +185,17 @@ def run_experiment(
     # keys trial * T + bucket of a chunk must fit in int64
     per_chunk = max(1, min(_TRIAL_CHUNK // max(n0, n1),
                            np.iinfo(np.int64).max // max(code.T, 1)))
+    datasets = _planted_trials(p, d, n0, n1, seed, trials)
     successes = 0
     comparisons = 0.0
     lookups = 0.0
-    for first in range(0, trials, per_chunk):
+    for _ in range(0, trials, per_chunk):
         x0, x1, planted0, planted1 = [], [], [], []
-        for t in range(first, min(first + per_chunk, trials)):
-            ds = generate_dataset(p, d, n0, n1, _trial_seed(seed, t))
-            x0.append(ds.x0_points)
-            x1.append(ds.x1_points)
-            planted0.append((t - first) * n0 + ds.planted[0])
-            planted1.append((t - first) * n1 + ds.planted[1])
+        for j, (a0, a1, i0, i1) in enumerate(islice(datasets, per_chunk)):
+            x0.append(a0)
+            x1.append(a1)
+            planted0.append(j * n0 + i0)
+            planted1.append(j * n1 + i1)
         rows0, keys0 = _chunk_memberships(code, x0, 0)
         rows1, keys1 = _chunk_memberships(code, x1, 1)
         lookups += keys0.size + keys1.size
@@ -318,15 +362,17 @@ def sparse_hash_experiment(eps: float, k: int, n: int, trials: int,
         if key >= 0 and key == keys1[planted[1]]:
             tallies[name]["hits"] += 1
 
-    for t in range(trials):
-        ds = generate_dataset(p, d, n, n, _trial_seed(seed, t))
-        rng = derive_rng(seed, "sparse-hash", t)
-        order = rng.permutation(d)
-        record("first_k_ones", _first_ones_keys(ds.x0_points, order, k),
-               _first_ones_keys(ds.x1_points, order, k), ds.planted)
-        proj = np.tan(np.pi * (rng.uniform(size=(bits, d)) - 0.5))
-        record("cauchy", _sign_keys(ds.x0_points, proj),
-               _sign_keys(ds.x1_points, proj), ds.planted)
+    rng = np.random.default_rng(0)
+    for seeds, hash_states in _trial_batches(seed, trials, "sparse-hash"):
+        for trial_seed, state in zip(seeds, hash_states):
+            ds = generate_dataset(p, d, n, n, trial_seed)
+            rng.bit_generator.state = state
+            order = rng.permutation(d)
+            record("first_k_ones", _first_ones_keys(ds.x0_points, order, k),
+                   _first_ones_keys(ds.x1_points, order, k), ds.planted)
+            proj = np.tan(np.pi * (rng.uniform(size=(bits, d)) - 0.5))
+            record("cauchy", _sign_keys(ds.x0_points, proj),
+                   _sign_keys(ds.x1_points, proj), ds.planted)
 
     out = {"eps": eps, "k": k, "n": n, "d": d, "trials": trials, "seed": seed}
     for name, tally in tallies.items():

@@ -250,6 +250,26 @@ class TestSimulate:
         golden = GOLDEN / "simulate-classical-scale.txt"
         assert out.encode() == golden.read_bytes()
 
+    def test_out_rewrites_longer_file(self, tmp_path, capsys):
+        out_path = tmp_path / "run.csv"
+        code, out, _ = run_cli(self.ARGS + ["--out", str(out_path)], capsys)
+        assert code == 0 and out == ""
+        payload = out_path.read_bytes()
+        out_path.write_bytes(b"x" * (3 * len(payload)))
+        run_cli(self.ARGS + ["--out", str(out_path)], capsys)
+        assert out_path.read_bytes() == payload
+
+    def test_out_to_new_path_and_device(self, tmp_path, capsys):
+        code, expected, _ = run_cli(self.ARGS, capsys)
+        assert code == 0
+        out_path = tmp_path / "new" / "run.csv"
+        out_path.parent.mkdir()
+        run_cli(self.ARGS + ["--out", str(out_path)], capsys)
+        written = out_path.read_text().splitlines()
+        assert written[1:] == expected.splitlines()[1:]
+        code, out, err = run_cli(self.ARGS + ["--out", "/dev/null"], capsys)
+        assert (code, out, err) == (0, "", "")
+
     @pytest.mark.parametrize("n0, n1", [("0", "0"), ("0", "4"), ("4", "0")])
     def test_empty_point_set_is_error(self, n0, n1, monkeypatch, capsys):
         monkeypatch.setattr(

@@ -239,6 +239,20 @@ class TestClassicalCode:
             draws = buckets[rows == i] >> 4
             assert sorted(draws.tolist()) == list(range(6))
 
+    @pytest.mark.parametrize("d, k, draws", [(12, 5, 4), (70, 62, 3)])
+    def test_membership_matches_pattern_product(self, d, k, draws):
+        # symbols 0..2 as from a 3-symbol --matrix; at k = 62 the ids wrap
+        # mod 2^64 like the int64 product
+        code = classical_code(d, k, draws, seed=4)
+        pts = np.random.default_rng(1).integers(0, 3, (30, d), dtype=np.uint8)
+        patterns = pts[:, code.coords].astype(np.int64)
+        want = patterns @ (1 << np.arange(k, dtype=np.int64))
+        want += np.arange(draws, dtype=np.int64) << k
+        rows, ids = code.membership(pts, 0)
+        assert rows.dtype == ids.dtype == np.int64
+        assert np.array_equal(rows, np.repeat(np.arange(30), draws))
+        assert np.array_equal(ids, want.reshape(-1))
+
     def test_validation(self):
         with pytest.raises(DomainError):
             classical_code(4, 5, 1, seed=0)

@@ -23,7 +23,7 @@ from bucketing.probmodel import (
     mutual_information,
     tensor,
 )
-from bucketing.rng import derive_rng
+from bucketing.rng import _pcg64_states, derive_rng, derive_states
 
 
 class TestDeriveRng:
@@ -45,6 +45,43 @@ class TestDeriveRng:
         a = derive_rng(0, "1").integers(1 << 30, size=4)
         b = derive_rng(0, 1).integers(1 << 30, size=4)
         assert not np.array_equal(a, b)
+
+
+class TestDeriveStates:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(0, 2**64 - 1),
+                  st.lists(st.one_of(st.text(max_size=12),
+                                     st.integers(-2**63, 2**63 - 1)),
+                           max_size=3)),
+        min_size=1, max_size=6))
+    def test_batch_equals_derive_rng(self, keys):
+        keys = [(seed, *tags) for seed, tags in keys]
+        for key, state in zip(keys, derive_states(keys), strict=True):
+            assert state == derive_rng(*key).bit_generator.state
+
+    @pytest.mark.parametrize("entropy", [
+        0, 1, 2**32, 2**64 + 5, 2**96 - 1, 2**128 - 1])
+    def test_state_equals_pcg64(self, entropy):
+        # SeedSequence drops an entropy's leading zero 32-bit words
+        [state] = _pcg64_states(entropy.to_bytes(16, "little"))
+        assert state == np.random.PCG64(entropy).state
+
+    def test_loaded_state_drops_buffered_word(self):
+        keys = [(3, "a"), (3, "b")]
+        first, second = derive_states(keys)
+        gen = np.random.default_rng(0)
+        gen.bit_generator.state = first
+        gen.integers(2)  # leaves has_uint32 = 1
+        assert gen.bit_generator.state["has_uint32"] == 1
+        gen.bit_generator.state = second
+        fresh = derive_rng(*keys[1])
+        assert np.array_equal(gen.integers(2, size=9),
+                              fresh.integers(2, size=9))
+        assert gen.bit_generator.state == fresh.bit_generator.state
+
+    def test_empty_batch(self):
+        assert derive_states([]) == []
 
 
 class TestMakeMatrix:

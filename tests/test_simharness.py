@@ -154,6 +154,36 @@ class TestChunkedTrials:
         assert repr(got) == repr(want)
 
 
+class TestStreamBatches:
+    def test_trial_batches_equal_derived_streams(self, monkeypatch):
+        monkeypatch.setattr(simharness, "_STREAM_BATCH", 4)
+        batches = list(simharness._trial_batches(9, 10, "a", "b"))
+        assert [len(seeds) for seeds, _ in batches] == [4, 4, 2]
+        t = 0
+        for seeds, states in batches:
+            assert len(states) == 2 * len(seeds)
+            for j, seed in enumerate(seeds):
+                assert seed == derive_rng(9, "trial", t).integers(1 << 62)
+                for i, tag in enumerate("ab"):
+                    assert (states[i * len(seeds) + j]
+                            == derive_rng(9, tag, t).bit_generator.state)
+                t += 1
+
+    @pytest.mark.parametrize("chunk", [None, 16], ids=["default", "small"])
+    @pytest.mark.parametrize("name", ["full", "classical", "typeclass-2x3",
+                                      "tensor-2^62"])
+    def test_batch_bounds_change_nothing(self, name, chunk, monkeypatch):
+        # 40 trials over stream batches of 7, which chunks of 16 points
+        # cut across
+        code, p, n0, n1 = CHUNK_CASES[name]
+        monkeypatch.setattr(simharness, "_STREAM_BATCH", 7)
+        if chunk is not None:
+            monkeypatch.setattr(simharness, "_TRIAL_CHUNK", chunk)
+        got = run_experiment(code, p, code.d, n0, n1, 40, seed=5)
+        want = per_trial_reference(code, p, code.d, n0, n1, 40, seed=5)
+        assert repr(got) == repr(want)
+
+
 @st.composite
 def key_sides(draw, top):
     """Two int64 key arrays below `top`, drawn from one pool of up to six
