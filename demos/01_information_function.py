@@ -3,8 +3,10 @@
 I generalizes Shannon mutual information: at lambda0 = lambda1 = 1 and
 mu = infinity it coincides with I(X;Y), while smaller mu trades the
 divergence penalty K(Q||P) against the marginal rewards.  This script
-evaluates the closed forms for a correlated Bernoulli coordinate pair and
-shows that the general-purpose optimizer reproduces them.
+evaluates the closed forms for a correlated Bernoulli coordinate pair next
+to `info_numeric`, which answers lambda0 = lambda1 = 1 from the same exact
+candidates without a solve, and then runs the optimizer where no closed
+form is known.
 """
 
 import math

@@ -373,7 +373,7 @@ class TypeClassCode(BucketingCode):
                            for b in r_blocks])
         if np.any(blocks < 0):
             raise DomainError("block masses must be nonnegative")
-        if abs(blocks.sum() - 1.0) > 1e-9:
+        if not abs(blocks.sum() - 1.0) <= 1e-9:  # written so that nan fails
             raise DomainError(f"blocks have total mass {blocks.sum()}, expected 1")
         self.p = p
         self.d = d

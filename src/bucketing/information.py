@@ -9,10 +9,12 @@ objective with its gradient, deterministic starts and a witness map; the
 exact closed-form candidates (vertices, the identity split, the
 concentrated-block stationary point) come from `_candidates`, and
 `info_numeric` alone solves: `_ascend` runs L-BFGS-B from every start and
-keeps the best of the local maxima and the candidates.  The best candidate
-alone, `info_floor`, is a solve-free lower bound on I that lets the
-frontier bisection and the work bound's search skip points that cannot
-change their answer.
+keeps the best of the local maxima and the candidates.  At lambda0 =
+lambda1 = 1 a candidate is exact in every regime, so no start runs there
+and `info_closed_form` is the best candidate.  The best candidate alone,
+`info_floor`, is a solve-free lower bound on I that lets the frontier
+bisection and the work bound's search skip points that cannot change their
+answer.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp, rel_entr
+from scipy.special import rel_entr
 
 from .errors import DomainError, MassError
-from .probmodel import NonnegMatrix, ProbabilityMatrix, kl_extended, mutual_information
+from .probmodel import NonnegMatrix, ProbabilityMatrix, kl_extended
 from .rng import derive_rng
 
 _VERTEX_LOGIT = 16.0
@@ -95,7 +97,7 @@ class AttainablePoint:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Outcome of a conjecture-inequality scan."""
+    """Outcome of a scan of the 1/p inequality, a theorem (conjecture_scan)."""
 
     grid: str
     worst_margin: float
@@ -114,32 +116,11 @@ class WorkBound:
 
 
 def info_closed_form(p: ProbabilityMatrix, mu: float) -> float:
-    """Exact value of I(P, 1, 1, mu).
-
-    max_{jk} ln(p_jk^mu / (p_j* p_*k)) for 0 <= mu <= 1,
-    (mu-1) ln sum p_jk (p_jk/(p_j* p_*k))^(1/(mu-1)) for mu > 1,
-    mutual information at mu = infinity.  Both finite branches agree at
-    mu = 1.
-    """
-    InfoQuery(1.0, 1.0, mu)  # rejects a negative or nan mu
-    e = p.entries
-    outer = np.outer(p.row_marginals, p.col_marginals)
-    if math.isinf(mu):
-        return mutual_information(p)
-    if mu <= 1:
-        if mu == 0:
-            # p_jk^0 = 1 even on zero entries; only empty rows/cols excluded
-            mask = outer > 0
-            vals = -np.log(outer[mask])
-        else:
-            mask = e > 0
-            vals = mu * np.log(e[mask]) - np.log(outer[mask])
-        return float(vals.max())
-    # log-space evaluation: the per-cell exponent 1/(mu-1) blows up as
-    # mu -> 1+, so the power itself can overflow long before the result does
-    mask = e > 0
-    exponents = np.log(e[mask]) + np.log(e[mask] / outer[mask]) / (mu - 1.0)
-    return float((mu - 1.0) * logsumexp(exponents))
+    """Exact value of I(P, 1, 1, mu), the best `_candidates` value, which
+    info_numeric returns without a solve: max_{jk} ln(p_jk^mu/(p_j* p_*k))
+    for mu <= 1, (mu-1) ln sum p_jk (p_jk/(p_j* p_*k))^(1/(mu-1)) for
+    mu > 1, mutual information at mu = infinity."""
+    return info_floor(p, InfoQuery(1.0, 1.0, mu))
 
 
 def block_objective(p: ProbabilityMatrix, blocks, lambda0: float,
@@ -456,6 +437,15 @@ def _infinite_mu(p: ProbabilityMatrix, support, l0, l1, n_starts, seed):
     return value_grad, starts, witness
 
 
+def _problem(p: ProbabilityMatrix, support, w, l0, l1, mu, n_starts, seed):
+    """The regime at mu as (value_grad, starts, witness) for `_ascend`."""
+    if math.isinf(mu):
+        return _infinite_mu(p, support, l0, l1, n_starts, seed)
+    if mu > 1:
+        return _multi_block(p, support, w, l0, l1, mu, n_starts, seed)
+    return _single_term(p, support, l0, l1, mu, n_starts, seed)
+
+
 def info_numeric(p: ProbabilityMatrix, query: InfoQuery, n_starts: int = 32,
                  seed: int = 20240) -> InfoResult:
     """Numerically evaluate I(P, lambda0, lambda1, mu) with a witness.
@@ -465,7 +455,9 @@ def info_numeric(p: ProbabilityMatrix, query: InfoQuery, n_starts: int = 32,
     objective is maximized.  A maximum attained by an exact closed-form
     candidate counts as converged; otherwise non-convergence (no two starts
     agreeing with the maximum within 1e-6) is reported via converged=False,
-    never raised.
+    never raised.  At lambda0 = lambda1 = 1 a candidate is exact in every
+    regime (info_closed_form), so no start runs: the best candidate is
+    returned with method "closed_form" and converged=True.
 
     n_starts is a floor, not a count: max(n_starts, 4 * support cells)
     starts run for mu <= 1 (at mu = 0 the support is every cell with a
@@ -476,12 +468,10 @@ def info_numeric(p: ProbabilityMatrix, query: InfoQuery, n_starts: int = 32,
     l0, l1, mu = query.lambda0, query.lambda1, query.mu
     support = _support(p, mu)
     candidates, w = _candidates(p, l0, l1, mu, support)
-    if math.isinf(mu):
-        problem = _infinite_mu(p, support, l0, l1, n_starts, seed)
-    elif mu > 1:
-        problem = _multi_block(p, support, w, l0, l1, mu, n_starts, seed)
+    if l0 == l1 == 1:
+        problem = (None, (), None)  # no starts: the best candidate wins
     else:
-        problem = _single_term(p, support, l0, l1, mu, n_starts, seed)
+        problem = _problem(p, support, w, l0, l1, mu, n_starts, seed)
     val, blocks, exact, conv = _ascend(*problem, candidates)
     witness = tuple(NonnegMatrix(np.asarray(b)) for b in blocks)
     return InfoResult(max(val, 0.0), witness,
@@ -567,12 +557,16 @@ def direct_lower_bound(p: ProbabilityMatrix, n0: float, n1: float, s: float,
     of n0^l0 n1^l1, swept over a fan of frontier directions.
 
     The fan is the two axis points and the frontier on each of the
-    n_directions - 2 interior directions.  A coarse sweep only weakens the
-    bound; every reported exponent pair is certified sub-conjugate, so the
-    bound is always valid.  n_starts is the start floor of every frontier
-    I solve (see info_numeric), whose values `_info_cached` keeps.
+    n_directions - 2 interior directions, so n_directions must be at least
+    2.  A coarse sweep only weakens the bound; every reported exponent pair
+    is certified sub-conjugate, so the bound is always valid.  n_starts is
+    the start floor of every frontier I solve (see info_numeric), whose
+    values `_info_cached` keeps.
     """
     _check_bound_args(n0, n1, s)
+    if not n_directions >= 2:
+        raise DomainError(
+            f"n_directions={n_directions} < 2: the fan needs both axis points")
     pts = [(1.0, 0.0), (0.0, 1.0)]
     for theta in np.linspace(0.0, math.pi / 2, n_directions)[1:-1]:
         pts.append(subconjugate_frontier(
@@ -723,9 +717,11 @@ def _constrained_points(p: float, resolution: int) -> np.ndarray:
 def conjecture_scan(p_values, resolution: int, tol: float = 1e-9) -> ScanReport:
     """Scan the 1/p-optimality inequality over the probability simplex.
 
-    For each p in [1/2, 1], evaluates the margin on the full 3-simplex at
-    the given resolution and on the fixed-marginal submanifold grid;
-    margins below -tol (tol >= 0) count as violations.
+    The paper conjectures it; it is Bonami-Beckner hypercontractivity of
+    B_p at lambda0 = lambda1 = 1/(2p), a theorem, so a violation flags a
+    numerical fault.  For each p in [1/2, 1], evaluates the margin on the
+    full 3-simplex at the given resolution and on the fixed-marginal
+    submanifold grid; margins below -tol (tol >= 0) count as violations.
     """
     if resolution < 10:
         raise DomainError(f"resolution {resolution} < 10")

@@ -169,6 +169,14 @@ class TestSubcommands:
         assert "classical 1.321928" in out
         assert "improved 1.25" in out
 
+    def test_sweep_golden_output(self, capsys):
+        # every row is at lambda0 = lambda1 = 1, answered from the exact
+        # candidates
+        code, out, _ = run_cli(["sweep", "--p", "0.9"], capsys)
+        assert code == 0
+        golden = GOLDEN / "sweep-bernoulli.txt"
+        assert out.encode() == golden.read_bytes()
+
     def test_sweep_csv_shape(self, capsys):
         code, out, _ = run_cli(
             ["sweep", "--p", "0.8", "--mu-grid", "0:1:0.5,inf",

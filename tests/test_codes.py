@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,12 @@ class TestTypeClassCode:
     def test_mass_validation(self):
         with pytest.raises(DomainError):
             typeclass_code(self.P, 6, [self.P.entries * 0.7], seed=0)
+        # a nan mass fails the mass check itself, before any cast warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                typeclass_code(bernoulli_matrix(0.9), 8,
+                               [[[math.nan, 0.05], [0.05, 0.45]]])
 
     def test_one_permutation_per_bucket(self):
         assert len(typeclass_code(self.P, 6, [self.P.entries], T=3).perms) == 3

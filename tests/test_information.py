@@ -158,14 +158,24 @@ def test_bad_input_raises(call, error):
 
 class TestInfoNumeric:
     def test_matches_closed_form_at_unit_lambdas(self):
+        # info_numeric answers unit lambdas from the candidates, so the
+        # evidence for the closed form is the regime's ascent without them,
+        # also on supports that are not the full square grid
         rng = derive_rng(41, "cf")
-        for i in range(6):
-            p = random_matrix(rng, 2)
-            for mu in (0.0, 0.5, 1.0, 2.0, math.inf):
-                res = info_numeric(p, InfoQuery(1.0, 1.0, mu), n_starts=8)
-                assert res.value == pytest.approx(
-                    info_closed_form(p, mu), abs=1e-8
-                )
+        matrices = [random_matrix(rng, 2) for _ in range(6)] + [
+            make_matrix([[0.2, 0.0], [0.4, 0.4]]),
+            make_matrix([[0.3, 0.1, 0.05], [0.05, 0.2, 0.3]]),
+            bernoulli_matrix(1.0),
+        ]
+        for p in matrices:
+            for mu in (0.0, 0.5, 1.0, 1.5, 2.0, 8.0, math.inf):
+                support = information._support(p, mu)
+                _, w = information._candidates(p, 1.0, 1.0, mu, support)
+                problem = information._problem(p, support, w, 1.0, 1.0, mu,
+                                               n_starts=8, seed=20240)
+                ascent = information._ascend(*problem, [])[0]
+                closed = info_closed_form(p, mu)
+                assert closed - 1e-4 <= ascent <= closed + 1e-12
 
     def test_witness_attains_value(self):
         # block_objective re-evaluates the definition at the witness, so
@@ -260,12 +270,27 @@ class TestInfoNumeric:
             )
 
     def test_closed_form_win_is_converged(self):
-        # n_starts=1 leaves only the two fixed starts, and neither comes
-        # within 1e-6 of the exact identity split that attains the maximum
+        # the exact identity split attains the maximum, and a candidate
+        # win needs no start to agree with it
         res = info_numeric(BERN9, InfoQuery(1.0, 1.0, math.inf), n_starts=1)
         assert res.method == "closed_form"
         assert res.value == pytest.approx(mutual_information(BERN9), abs=1e-15)
         assert res.converged
+
+    def test_unit_lambdas_need_no_solve(self, monkeypatch):
+        # at lambda0 = lambda1 = 1 a candidate is exact in every regime, so
+        # the answer is the best candidate and no optimizer runs
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the optimizer ran at unit lambdas")
+
+        monkeypatch.setattr(information, "minimize", no_solve)
+        for p in (SKEW, make_matrix([[0.2, 0.0], [0.4, 0.4]]),
+                  make_matrix([[0.3, 0.1, 0.05], [0.05, 0.2, 0.3]]),
+                  tensor(SKEW, BERN9)):
+            for mu in (0.0, 0.5, 1.0, 2.0, math.inf):
+                res = info_numeric(p, InfoQuery(1.0, 1.0, mu))
+                assert res.method == "closed_form" and res.converged
+                assert res.value == info_closed_form(p, mu)
 
     def test_floor_is_sound(self):
         # info_floor is the best exact candidate, which the solvers also rank,
@@ -355,7 +380,9 @@ class TestSubconjugacy:
         )
 
     def test_frontier_diagonal_bernoulli(self):
-        # conjectured diagonal frontier at lambda = 1/(2p)
+        # the diagonal frontier of B_p is lambda = 1/(2p), Bonami-Beckner
+        # hypercontractivity: the paper's 1/p-optimality conjecture is a
+        # theorem
         for p_val in (0.8, 0.9):
             l0, l1 = subconjugate_frontier(
                 bernoulli_matrix(p_val), (1.0, 1.0)
@@ -407,6 +434,11 @@ class TestLowerBounds:
             raise AssertionError("I solved before the arguments were checked")
 
         monkeypatch.setattr(information, "info_numeric", no_solve)
+        # the fan needs both axis points: fewer than 2 directions is no fan
+        for n_directions in (-1, 0, 1):
+            with pytest.raises(DomainError):
+                direct_lower_bound(BERN9, 1000, 1000, 0.9,
+                                   n_directions=n_directions)
         for n0, n1, s in (
             (0.5, 10, 0.5), (10, 10, 1.5), (math.nan, 1000, 0.9),
             (math.inf, 1000, 0.9), (1000, math.nan, 0.9), (0, 1000, 0.9),
