@@ -14,7 +14,8 @@ lambda1 = 1 a candidate is exact in every regime, so no start runs there
 and `info_closed_form` is the best candidate.  The best candidate alone,
 `info_floor`, is a solve-free lower bound on I that lets the frontier
 bisection and the work bound's search skip points that cannot change their
-answer.
+answer.  For a binary symmetric P the sub-conjugate region is the
+hypercontractivity ribbon, so its frontier takes no bisection at all.
 """
 
 from __future__ import annotations
@@ -502,15 +503,44 @@ def is_subconjugate(p: ProbabilityMatrix, lambda0: float, lambda1: float,
     return res.value <= SUBCONJ_TOL, q, res.value
 
 
+def _ribbon_rho2(p: ProbabilityMatrix):
+    """rho^2 for a binary symmetric P (a 2x2 matrix with p00 = p11 and
+    p01 = p10), where rho = (p00 - p01) / (p00 + p01) is its correlation;
+    None for every other P.
+
+    For such a P, (lambda0, lambda1) in the unit box is sub-conjugate iff
+    (1 - lambda0)(1 - lambda1) >= rho^2 lambda0 lambda1: the
+    hypercontractivity ribbon of Bonami-Beckner (Beckner, Ann. Math. 1975;
+    Ahlswede-Gacs, Ann. Probab. 1976), of which B_p, with rho = 2p - 1, is
+    the case the paper works with.
+    """
+    e = p.entries
+    if e.shape != (2, 2) or e[0, 0] != e[1, 1] or e[0, 1] != e[1, 0]:
+        return None
+    rho = (e[0, 0] - e[0, 1]) / (e[0, 0] + e[0, 1])
+    return float(rho * rho)
+
+
 def subconjugate_frontier(p: ProbabilityMatrix, direction: tuple,
                           n_starts: int = 12) -> tuple:
     """Largest sub-conjugate point along a ray, clipped to the unit box.
 
-    Scales t*(a0, a1), clips each coordinate at 1, and bisects for the
-    largest t that is still certified sub-conjugate, to FRONTIER_WIDTH in
-    lambda.  The scan starts at lambda0+lambda1 = 1 which is sub-conjugate
-    for every P.  A point whose info_floor already exceeds SUBCONJ_TOL is
-    rejected without an I solve; the result is the same as with the solve.
+    Scales t*(a0, a1) and clips each coordinate at 1.  For a binary
+    symmetric P the point comes from the hypercontractivity ribbon
+    (`_ribbon_rho2`) without an I solve: t is the smaller root of
+    a0 a1 (1 - rho^2) t^2 - (a0 + a1) t + 1 = 0, stepped inward one float
+    at a time until the ribbon margin (1 - l0)(1 - l1) - rho^2 l0 l1,
+    evaluated in floats, is strictly positive, so the point is certified
+    by the theorem rather than by a solve.  The step stops at
+    lambda0 + lambda1 = 1, sub-conjugate for every P, which is where the
+    ribbon meets the ray at rho = 1.  At rho = 0 the whole unit box is
+    sub-conjugate.
+
+    Every other P bisects for the largest t that is still certified
+    sub-conjugate, to FRONTIER_WIDTH in lambda.  The scan starts at
+    lambda0+lambda1 = 1 which is sub-conjugate for every P.  A point whose
+    info_floor already exceeds SUBCONJ_TOL is rejected without an I solve;
+    the result is the same as with the solve.
     """
     a0, a1 = float(direction[0]), float(direction[1])
     # written so that nan fails; an infinite coordinate would never settle
@@ -534,6 +564,24 @@ def subconjugate_frontier(p: ProbabilityMatrix, direction: tuple,
         return (1.0, 0.0)
     lo = 1.0 / (a0 + a1)  # lambda0+lambda1 = 1, always sub-conjugate
     hi = 1.0 / min(a0, a1)  # both coordinates clipped at 1 beyond this
+    rho2 = _ribbon_rho2(p)
+    if rho2 == 0:
+        return lam(hi)
+    if rho2 is not None:
+        # the smaller root, in a form without cancellation that also
+        # covers rho = 1 (the root is then lo); the discriminant
+        # (a0 + a1)^2 - 4 a0 a1 (1 - rho^2) is written as a sum of squares
+        # so that rounding cannot make it negative
+        t = 2.0 / ((a0 + a1) + math.sqrt(
+            (a0 - a1) ** 2 + 4.0 * a0 * a1 * rho2))
+
+        def margin(t):
+            l0, l1 = lam(t)
+            return (1.0 - l0) * (1.0 - l1) - rho2 * l0 * l1
+
+        while t > lo and not margin(t) > 0:
+            t = math.nextafter(t, 0.0)
+        return lam(max(t, lo))
     if ok(hi):
         return lam(hi)
     while (hi - lo) * max(a0, a1) > FRONTIER_WIDTH:
@@ -558,8 +606,12 @@ def direct_lower_bound(p: ProbabilityMatrix, n0: float, n1: float, s: float,
 
     The fan is the two axis points and the frontier on each of the
     n_directions - 2 interior directions, so n_directions must be at least
-    2.  A coarse sweep only weakens the bound; every reported exponent pair
-    is certified sub-conjugate, so the bound is always valid.  n_starts is
+    2.  A coarse sweep only weakens the bound.  For a binary symmetric P
+    every frontier point lies inside the hypercontractivity ribbon with a
+    strictly positive float margin (see subconjugate_frontier), so the
+    bound is a theorem's consequence and costs no I solve; at n0 = n1 = n
+    the diagonal gives S * n^(1/p) for B_p.  Any other P takes the
+    bisection, whose points are sub-conjugate to SUBCONJ_TOL.  n_starts is
     the start floor of every frontier I solve (see info_numeric), whose
     values `_info_cached` keeps.
     """
@@ -582,9 +634,13 @@ def work_lower_bound(p_list, n0: float, n1: float, s: float,
     over l0,l1 <= 1 <= l0+l1 and mu >= 0, by grid search plus local
     refinement; mu is capped at 64 with an infinity sentinel.  A grid or
     refinement point is solved only when the objective with info_floor in
-    place of I, an upper bound on it, could beat the incumbent; skipped
-    points could never have been accepted, so the result is the same as
-    solving everywhere.  p_list must hold at least one matrix.
+    place of I, an upper bound on it, could beat the incumbent.  At
+    l0 = l1 = 1 info_floor is I exactly, so that column of the grid costs
+    no solve, and its best value is an incumbent before the grid loop
+    starts: a grid point whose upper bound is strictly below it is not
+    solved either.  Skipped points could never have been the first
+    maximizer in grid order, so the result is the same as solving
+    everywhere.  p_list must hold at least one matrix.
     """
     _check_bound_args(n0, n1, s)
     counts: dict[ProbabilityMatrix, int] = {}
@@ -594,18 +650,21 @@ def work_lower_bound(p_list, n0: float, n1: float, s: float,
         raise DomainError("p_list is empty: the bound needs a matrix")
     ln0, ln1, lns = math.log(n0), math.log(n1), math.log(s)
 
-    def objective(l0, l1, mu, beat):
+    def objective(l0, l1, mu, beat, floor=-math.inf):
         """The objective at (l0, l1, mu), or -inf without solving when it
-        cannot exceed `beat`: info_floor <= I and float rounding is
-        monotone, so the objective with floors in place of I is at least
-        the solved one."""
+        cannot exceed `beat` or falls short of `floor`: info_floor <= I and
+        float rounding is monotone, so the objective with floors in place
+        of I is at least the solved one.  At l0 = l1 = 1 info_floor is I
+        itself, so that objective is returned unsolved and uncached."""
         if math.isinf(mu) and lns < 0:
             return -math.inf
         base = l0 * ln0 + l1 * ln1 + (0.0 if math.isinf(mu) else mu * lns)
         ub = base
         for p, c in counts.items():
             ub -= c * info_floor(p, InfoQuery(l0, l1, mu))
-        if ub <= beat:
+        if l0 == l1 == 1:
+            return ub
+        if ub <= beat or ub < floor:
             return -math.inf
         val = base
         for p, c in counts.items():
@@ -615,13 +674,16 @@ def work_lower_bound(p_list, n0: float, n1: float, s: float,
     lam_grid = np.linspace(0.0, 1.0, 7)
     mu_grid = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0,
                math.inf]
+    # the unit-lambda column costs no solve and bounds the grid's maximum
+    # from below; a point strictly under it can never be the first argmax
+    floor = max(objective(1.0, 1.0, mu, -math.inf) for mu in mu_grid)
     best = (-math.inf, 1.0, 0.0, 0.0)
     for l0 in lam_grid:
         for l1 in lam_grid:
             if l0 + l1 < 1.0 - 1e-12:
                 continue
             for mu in mu_grid:
-                v = objective(l0, l1, mu, best[0])
+                v = objective(l0, l1, mu, best[0], floor)
                 if v > best[0]:
                     best = (v, l0, l1, mu)
 
@@ -774,7 +836,9 @@ def asymmetric_comparisons(p: float, n0: float, n1: float, epsilon: float):
 
     exp[(ln n0 + ln n1 - 2(2p-1) sqrt(ln n0 ln n1)) / (4p(1-p)(1-eps))],
     together with the linear-time threshold exponent (2p-1)^2: when
-    ln n0 <= ((2p-1)^2 - eps) ln n1 the problem is solvable in linear time.
+    ln min(n0, n1) <= ((2p-1)^2 - eps) ln max(n0, n1) the problem is
+    solvable in linear time, and the estimate is max(n0, n1), the linear
+    count that the ribbon bound gives there.
     """
     if not 0.5 < p < 1.0:
         raise DomainError(f"p={p} must lie strictly inside (1/2, 1)")
@@ -782,8 +846,12 @@ def asymmetric_comparisons(p: float, n0: float, n1: float, epsilon: float):
     if not (1 < n0 < math.inf and 1 < n1 < math.inf and 0 < epsilon < 1):
         raise DomainError(
             f"need finite n0,n1 > 1 and 0 < eps < 1, got {n0},{n1},{epsilon}")
+    threshold = (2 * p - 1) ** 2
+    small, large = sorted((n0, n1))
+    if math.log(small) <= (threshold - epsilon) * math.log(large):
+        return large, threshold
     num = math.log(n0) + math.log(n1) - 2 * (2 * p - 1) * math.sqrt(
         math.log(n0) * math.log(n1)
     )
     comparisons = math.exp(num / (4 * p * (1 - p) * (1 - epsilon)))
-    return comparisons, (2 * p - 1) ** 2
+    return comparisons, threshold

@@ -92,9 +92,12 @@ class TestSubcommands:
         assert "subconjugate false" in out
         assert "witness" in out
 
-    def test_bound_starts_reach_frontier(self, monkeypatch, capsys):
+    def test_bound_starts_reach_frontier(self, tmp_path, monkeypatch, capsys):
         # direct_lower_bound calls subconjugate_frontier on every interior
-        # direction; the I cache stays warm for the later bound tests
+        # direction; a matrix that is not binary symmetric has no ribbon,
+        # so its frontier is bisected with I solves
+        path = tmp_path / "m.json"
+        path.write_text(make_matrix([[0.5, 0.1], [0.15, 0.25]]).to_json())
         real = information.subconjugate_frontier
         seen = []
 
@@ -106,31 +109,38 @@ class TestSubcommands:
         # the work_lower_bound grid would cost hundreds of 40-start solves
         monkeypatch.setattr(cli, "work_lower_bound", lambda *a, **k:
                             information.WorkBound(0.0, 1.0, 1.0, 1.0))
+        solves = []
+        real_solve = information.info_numeric
+
+        def counting(*args, **kwargs):
+            solves.append(kwargs.get("n_starts"))
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(information, "info_numeric", counting)
         code, _, _ = run_cli(
-            ["bound", "--p", "0.9", "--n0", "1000", "--n1", "1000",
+            ["bound", "--matrix", str(path), "--n0", "1000", "--n1", "1000",
              "--S", "0.9", "--directions", "3", "--starts", "40"],
             capsys,
         )
         assert code == 0
         assert seen == [40]
+        assert solves and set(solves) == {40}
 
     def test_bound_golden_output(self, tmp_path, capsys):
-        out_path = tmp_path / "bound.txt"
-        code, _, _ = run_cli(
-            ["bound", "--p", "0.9", "--n0", "1000", "--n1", "1000",
-             "--S", "0.9", "--directions", "5", "--out", str(out_path)],
-            capsys,
-        )
+        # direct_work_bound is S * n^(1/p) = 0.9 * 1000^(1/0.9): the diagonal
+        # of the fan meets the ribbon at lambda0 = lambda1 = 1/(2p)
+        argv = ["bound", "--p", "0.9", "--n0", "1000", "--n1", "1000",
+                "--S", "0.9", "--directions", "5"]
+        golden = (GOLDEN / "bound-bernoulli.txt").read_bytes()
+        code, out, _ = run_cli(argv, capsys)
         assert code == 0
-        lines = out_path.read_text().splitlines()
-        assert lines[0].startswith("# config ")
-        assert lines[1:] == [
-            "direct_work_bound 1938.6279174805773",
-            "ln_work_bound 13.122363377404328",
-            "at_lambda0 1.0",
-            "at_lambda1 1.0",
-            "at_mu 1.0",
-        ]
+        assert out.encode() == golden
+        out_path = tmp_path / "bound.txt"
+        code, _, _ = run_cli(argv + ["--out", str(out_path)], capsys)
+        assert code == 0
+        lines = out_path.read_bytes().splitlines(keepends=True)
+        assert lines[0].startswith(b"# config ")
+        assert lines[1:] == golden.splitlines(keepends=True)[1:]
 
     @pytest.mark.parametrize("blocks", ["0", "-3"])
     def test_bound_needs_a_block(self, blocks, monkeypatch, capsys):

@@ -330,6 +330,27 @@ def _kl(q, p):
     return float(np.sum(q[m] * np.log(q[m] / p[m])))
 
 
+def _count_solves(monkeypatch):
+    """Record every I solve from here on.  The I cache is bypassed, so a
+    value another test left in it is counted too."""
+    real = information.info_numeric
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(information, "info_numeric", counting)
+    monkeypatch.setattr(information, "_info_cached",
+                        information._info_cached.__wrapped__)
+    return calls
+
+
+def _ribbon_margin(p_val, l0, l1):
+    rho = 2 * p_val - 1
+    return (1 - l0) * (1 - l1) - rho * rho * l0 * l1
+
+
 class TestSubconjugacy:
     def test_axes_always_subconjugate(self):
         for p in (BERN9, SKEW, UNIFORM):
@@ -388,7 +409,32 @@ class TestSubconjugacy:
                 bernoulli_matrix(p_val), (1.0, 1.0)
             )[:2]
             assert l0 == pytest.approx(l1, abs=1e-6)
-            assert l0 == pytest.approx(1.0 / (2.0 * p_val), abs=2e-3)
+            assert l0 == pytest.approx(1.0 / (2.0 * p_val), abs=1e-12)
+
+    @pytest.mark.parametrize("p_val", [0.55, 0.7, 0.9, 0.99, 1.0])
+    def test_ribbon_frontier_is_certified(self, p_val, monkeypatch):
+        # B_p's frontier is the ribbon (1-l0)(1-l1) = rho^2 l0 l1, taken
+        # without an I solve and stepped inside until its float margin is
+        # positive; the solver is an independent oracle on either side
+        p = bernoulli_matrix(p_val)
+        directions = [(math.cos(th), math.sin(th))
+                      for th in np.linspace(0.0, math.pi / 2, 10)[1:-1]]
+        calls = _count_solves(monkeypatch)
+        points = [subconjugate_frontier(p, d) for d in directions]
+        assert calls == []
+        monkeypatch.undo()
+        for l0, l1 in points:
+            if p_val < 1:
+                assert _ribbon_margin(p_val, l0, l1) > 0
+                assert l0 + l1 >= 1
+                assert is_subconjugate(p, l0, l1)[0]
+            else:
+                # rho = 1: the ribbon is lambda0 + lambda1 <= 1, which is
+                # sub-conjugate for every P
+                assert l0 + l1 == pytest.approx(1.0, abs=1e-15)
+            scale = 1 + 2 * information.FRONTIER_WIDTH
+            out = (min(l0 * scale, 1.0), min(l1 * scale, 1.0))
+            assert not is_subconjugate(p, *out)[0]
 
     def test_frontier_diagonal_uniform_is_unit(self):
         l0, l1 = subconjugate_frontier(UNIFORM, (1.0, 1.0))[:2]
@@ -465,18 +511,57 @@ class TestLowerBounds:
 
     def test_work_bound_skips_unwinnable_solves(self, monkeypatch):
         # one solve per finite-mu grid point would be 336; points whose
-        # exact-candidate floor cannot beat the incumbent are not solved.
-        # No other test uses p = 0.87, so the I cache holds none of its values
-        real = information.info_numeric
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(information, "info_numeric", counting)
+        # exact-candidate floor cannot beat the incumbent, or falls short
+        # of the unit-lambda column, are not solved
+        calls = _count_solves(monkeypatch)
         work_lower_bound([bernoulli_matrix(0.87)], 1000, 1000, 0.9)
-        assert len(calls) < 150
+        assert len(calls) <= 2
+
+    def test_bound_cli_arguments_need_no_solve(self, monkeypatch):
+        # `bucketing bound` on B_p: the work bound's maximum sits on the
+        # free unit-lambda column and the frontier is the ribbon
+        calls = _count_solves(monkeypatch)
+        for p_val in (0.8995, 0.9, 0.9005):
+            p = bernoulli_matrix(p_val)
+            work_lower_bound([p], 1000, 1000, 0.9)
+            direct_lower_bound(p, 1000, 1000, 0.9, n_directions=5)
+        assert calls == []
+
+    @pytest.mark.parametrize("p_list, n0, n1, s, n_starts, expected", [
+        ([bernoulli_matrix(0.87)], 1000, 1000, 0.9, 16,
+         "WorkBound(ln_w=13.173140647458501, lambda0=1.0, lambda1=1.0, "
+         "mu=1.6754150390625)"),
+        ([make_matrix([[0.5, 0.1], [0.15, 0.25]])], 1000, 100, 0.9, 16,
+         "WorkBound(ln_w=11.105336189130718, lambda0=1.0, lambda1=1.0, "
+         "mu=1.8045654296875)"),
+        ([BERN9], 2, 2, 0.99, 16,
+         "WorkBound(ln_w=0.9209925804587218, lambda0=1.0, lambda1=1.0, "
+         "mu=5.004638671875)"),
+        ([BERN9] * 3, 1000, 1000, 0.9, 8,
+         "WorkBound(ln_w=12.151943500259044, lambda0=1.0, lambda1=1.0, "
+         "mu=2.7706298828125)"),
+        ([make_matrix([[0.3, 0.1, 0.05], [0.05, 0.2, 0.3]])], 100, 100, 0.9,
+         16,
+         "WorkBound(ln_w=8.676424873256494, lambda0=1.0, lambda1=1.0, "
+         "mu=1.8341064453125)"),
+        ([BERN9, bernoulli_matrix(0.8), BERN9], 1000, 1000, 0.9, 16,
+         "WorkBound(ln_w=12.342689466277596, lambda0=1.0, lambda1=1.0, "
+         "mu=2.76513671875)"),
+        # demo 03's shell code, whose maximizer is off the unit column
+        ([BERN9] * 12, 4, 4, 0.9679207501918179, 8,
+         "WorkBound(ln_w=1.504214375562589, lambda0=0.45182291666666685, "
+         "lambda1=0.6588541666666669, mu=1.0)"),
+        # (0, 1, 1) ties (1, 0, 1), and grid order keeps the first
+        ([BERN9] * 12, 4, 4, 0.5, 8,
+         "WorkBound(ln_w=0.6931471805599453, lambda0=0.0, lambda1=1.0, "
+         "mu=1.0)"),
+    ], ids=["b087", "non-symmetric", "b09-n2", "b09-3-blocks", "2x3", "mixed",
+            "shell-demo", "axis-tie"])
+    def test_work_bound_pinned(self, p_list, n0, n1, s, n_starts, expected):
+        # values of the search that solved every point the floor could not
+        # rule out; skipping points below the unit-lambda column keeps them
+        wb = work_lower_bound(p_list, n0, n1, s, n_starts=n_starts)
+        assert repr(wb) == expected
 
 
 class TestConjectureScan:
@@ -534,6 +619,15 @@ class TestAsymmetricComparisons:
             math.exp(num / (4 * p * (1 - p) * (1 - eps)))
         )
         assert threshold == pytest.approx((2 * p - 1) ** 2)
+
+    def test_linear_below_threshold(self):
+        # n0 = n1^0.3 and 0.3 <= (2p-1)^2 - eps: the ribbon bound is linear,
+        # n1^1, where the formula would give n1^1.177
+        n1 = 1e6
+        for n0, n1 in ((n1**0.3, n1), (n1, n1**0.3)):
+            comparisons, threshold = asymmetric_comparisons(0.9, n0, n1, 0.1)
+            assert comparisons == max(n0, n1)
+            assert threshold == pytest.approx(0.64)
 
     def test_symmetric_case_positive(self):
         comparisons, _ = asymmetric_comparisons(0.9, 1e5, 1e5, 0.1)
