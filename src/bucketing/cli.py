@@ -16,7 +16,6 @@ import sys
 
 from .codes import (
     classical_code,
-    code_success_exact,
     full_space_code,
     shell_analytics,
     shell_code,
@@ -31,7 +30,7 @@ from .information import (
     is_subconjugate,
     work_lower_bound,
 )
-from .probmodel import bernoulli_matrix, make_matrix, matrix_from_json
+from .probmodel import bernoulli_matrix, matrix_from_json
 from .simharness import (
     baseline_exponents,
     cauchy_baseline,

@@ -27,9 +27,12 @@ from .probmodel import ProbabilityMatrix, make_matrix
 from .rng import derive_rng
 
 # max b0^d * b1^d pair states the exact-S sweep visits; it bounds the
-# sweep's time, since its memory is one row block
+# sweep's time, since its memory is one row block and the membership
+# matrices that BUCKET_INDEX_GUARD bounds
 ENUMERATION_GUARD = 1 << 26
-BUCKET_INDEX_GUARD = 1 << 20  # max materialized bucket count / group table size
+# max materialized bucket count / group table size / states x buckets
+# entries of one side's exact-S membership matrix
+BUCKET_INDEX_GUARD = 1 << 20
 _SHELL_SLICE = 1 << 22  # max points x centers entries per membership slice
 
 
@@ -41,14 +44,22 @@ def _comb0(n: int, k: int) -> int:
 
 
 class BucketingCode:
-    """Base interface: dimension, bucket count, membership, probabilities."""
+    """Base interface: dimension, bucket count, membership, probabilities.
 
-    d: int
-    seed: int
+    A code's identity is its `kind` (a class attribute), its dimension d,
+    its bucket count T and its seed.  `__init__` sets d, T and seed once
+    and rejects T < 0 before a subclass allocates anything;
+    `descriptor()` writes them around the subclass's `params()`.
+    """
 
-    @property
-    def T(self) -> int:
-        raise NotImplementedError
+    kind: str
+
+    def __init__(self, d: int, T: int, seed: int):
+        if T < 0:
+            raise DomainError(f"T={T} must be >= 0")
+        self.d = d
+        self.T = T
+        self.seed = seed
 
     def bucket_probs(self) -> list:
         """[(count, p0, p1), ...]: the buckets grouped by the marginal
@@ -75,20 +86,23 @@ class BucketingCode:
         """Closed-form planted-pair success probability, or None."""
         return None
 
+    def params(self) -> dict:
+        """The kind's own descriptor parameters."""
+        return {}
+
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        """{kind, d, T, seed, params}: JSON that rebuilds this code."""
+        return {"kind": self.kind, "d": self.d, "T": self.T, "seed": self.seed,
+                "params": self.params()}
 
 
 class FullSpaceCode(BucketingCode):
     """A single bucket pair covering both full spaces (S = 1, W = n0*n1)."""
 
-    def __init__(self, d: int, seed: int = 0):
-        self.d = d
-        self.seed = seed
+    kind = "full_space"
 
-    @property
-    def T(self) -> int:
-        return 1
+    def __init__(self, d: int, seed: int = 0):
+        super().__init__(d, 1, seed)
 
     def bucket_probs(self):
         return [(1, 1.0, 1.0)]
@@ -100,21 +114,14 @@ class FullSpaceCode(BucketingCode):
     def success_exact(self, p):
         return 1.0
 
-    def descriptor(self):
-        return {"kind": "full_space", "d": self.d, "T": 1, "seed": self.seed,
-                "params": {}}
-
 
 class EmptyCode(BucketingCode):
     """A code with no buckets (S = 0, W = 0)."""
 
-    def __init__(self, d: int, seed: int = 0):
-        self.d = d
-        self.seed = seed
+    kind = "empty"
 
-    @property
-    def T(self) -> int:
-        return 0
+    def __init__(self, d: int, seed: int = 0):
+        super().__init__(d, 0, seed)
 
     def bucket_probs(self):
         return []
@@ -124,10 +131,6 @@ class EmptyCode(BucketingCode):
 
     def success_exact(self, p):
         return 0.0
-
-    def descriptor(self):
-        return {"kind": "empty", "d": self.d, "T": 0, "seed": self.seed,
-                "params": {}}
 
 
 class ClassicalCode(BucketingCode):
@@ -139,27 +142,22 @@ class ClassicalCode(BucketingCode):
     probability 2^-k on both sides.
     """
 
+    kind = "classical"
+
     def __init__(self, d: int, k: int, draws: int, seed: int):
         if not 1 <= k <= d:
             raise DomainError(f"need 1 <= k <= d, got k={k}, d={d}")
         if k > 62:
             raise TooLarge(f"k={k} exceeds the 62-bit pattern guard")
-        if draws < 0:
-            raise DomainError(f"draws={draws} must be >= 0")
-        self.d = d
+        super().__init__(d, draws << k, seed)
         self.k = k
         self.draws = draws
-        self.seed = seed
         self.coords = np.stack(
             [
                 np.sort(derive_rng(seed, "classical-draw", t).choice(d, k, replace=False))
                 for t in range(draws)
             ]
         ) if draws else np.zeros((0, k), dtype=int)
-
-    @property
-    def T(self) -> int:
-        return self.draws << self.k
 
     def bucket_probs(self):
         return [(self.T, 2.0**-self.k, 2.0**-self.k)]
@@ -178,9 +176,8 @@ class ClassicalCode(BucketingCode):
         rows = np.repeat(np.arange(n, dtype=np.int64), self.draws)
         return rows, ids.view(np.int64).T.reshape(-1)
 
-    def descriptor(self):
-        return {"kind": "classical", "d": self.d, "T": self.T, "seed": self.seed,
-                "params": {"k": self.k, "draws": self.draws}}
+    def params(self):
+        return {"k": self.k, "draws": self.draws}
 
 
 class ShellCode(BucketingCode):
@@ -190,19 +187,17 @@ class ShellCode(BucketingCode):
     probability p_star = [C(d,d0-1) + C(d,d0)] 2^-d on both sides.
     """
 
+    kind = "shell"
+
     def __init__(self, d: int, d0: int, T: int, seed: int):
         if not 1 <= d0 <= d:
             raise DomainError(f"need 1 <= d0 <= d, got d0={d0}, d={d}")
-        if T < 0:
-            raise DomainError(f"T={T} must be >= 0")
-        self.d = d
+        super().__init__(d, T, seed)
         self.d0 = d0
-        self._T = T
-        self.seed = seed
         self.centers = derive_rng(seed, "shell-centers").integers(
             0, 2, size=(T, d), dtype=np.uint8
         )
-        self.p_star = (_comb0(d, d0 - 1) + _comb0(d, d0)) / (1 << d)
+        self.p_star = shell_capture_probability(d, d0, 0)
         # binary x agrees with center c in x.(2c-1) + d - |c| coordinates,
         # so that count is d0 - 1 or d0 iff |x.(2c-1) + shift| = 1/2 with
         # shift = d - |c| - d0 + 1/2; float32 holds these half-integers
@@ -211,18 +206,14 @@ class ShellCode(BucketingCode):
         self._shift = (d - d0 + 0.5 - self.centers.sum(axis=1, dtype=np.int64)
                        ).astype(np.float32)
 
-    @property
-    def T(self) -> int:
-        return self._T
-
     def bucket_probs(self):
-        return [(self._T, self.p_star, self.p_star)]
+        return [(self.T, self.p_star, self.p_star)]
 
     def membership(self, points, side):
         pts = np.asarray(points)
         # slices of points keep the points x centers offset matrix near
         # _SHELL_SLICE entries; a lone empty slice covers zero points
-        step = max(1, _SHELL_SLICE // max(self._T, 1))
+        step = max(1, _SHELL_SLICE // max(self.T, 1))
         rows, buckets = [], []
         for start in range(0, max(len(pts), 1), step):
             offset = pts[start:start + step] @ self._signs + self._shift
@@ -231,9 +222,8 @@ class ShellCode(BucketingCode):
             buckets.append(b.astype(np.int64))
         return np.concatenate(rows), np.concatenate(buckets)
 
-    def descriptor(self):
-        return {"kind": "shell", "d": self.d, "T": self._T, "seed": self.seed,
-                "params": {"d0": self.d0}}
+    def params(self):
+        return {"d0": self.d0}
 
 
 @dataclass(frozen=True)
@@ -273,7 +263,7 @@ def shell_analytics(d: int, d0: int, p: float, epsilon: float) -> ShellAnalytics
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon={epsilon} outside (0, 1)")
     capture = tuple(shell_capture_probability(d, d0, m) for m in range(d + 1))
-    p_star = (_comb0(d, d0 - 1) + _comb0(d, d0)) / (1 << d)
+    p_star = capture[0]
     width = math.sqrt(p * (1 - p) * d / epsilon)
     center = (1 - p) * d
     window = [m for m in range(d + 1) if abs(m - center) < width]
@@ -365,10 +355,10 @@ class TypeClassCode(BucketingCode):
     uniform permutations.
     """
 
+    kind = "typeclass"
+
     def __init__(self, p: ProbabilityMatrix, d: int, r_blocks, seed: int,
                  T: int | None = None):
-        if T is not None and T < 0:
-            raise DomainError(f"T={T} must be >= 0")
         blocks = np.stack([np.asarray(getattr(b, "entries", b), float)
                            for b in r_blocks])
         if np.any(blocks < 0):
@@ -376,8 +366,6 @@ class TypeClassCode(BucketingCode):
         if not abs(blocks.sum() - 1.0) <= 1e-9:  # written so that nan fails
             raise DomainError(f"blocks have total mass {blocks.sum()}, expected 1")
         self.p = p
-        self.d = d
-        self.seed = seed
         self.block_counts = _largest_remainder(blocks.reshape(-1), d).reshape(
             blocks.shape
         )
@@ -409,30 +397,28 @@ class TypeClassCode(BucketingCode):
             raise DomainError("block counts put mass outside the support of P")
         self.U = math.exp(ln_u)
         self.V = math.exp(ln_v)
-        self._T = T if T is not None else max(1, math.ceil(math.exp(ln_u - ln_v)))
-        self.perms = np.zeros((self._T, d), dtype=np.int64)
-        for t in range(self._T):
+        if T is None:
+            T = max(1, math.ceil(math.exp(ln_u - ln_v)))
+        super().__init__(d, T, seed)
+        self.perms = np.zeros((self.T, d), dtype=np.int64)
+        for t in range(self.T):
             self.perms[t] = (derive_rng(seed, "typeclass-perm", t).permutation(d)
                              if t else np.arange(d))
 
-    @property
-    def T(self) -> int:
-        return self._T
-
     def bucket_probs(self):
-        return [(self._T, self._p0, self._p1)]
+        return [(self.T, self._p0, self._p1)]
 
     def success_lower_bound(self) -> float:
         """E[S] >= U (1 - (1 - V/U)^T) over the permutation randomness."""
         ratio = min(self.V / self.U, 1.0) if self.U > 0 else 0.0
-        return self.U * -math.expm1(self._T * math.log1p(-ratio)) if ratio < 1 \
+        return self.U * -math.expm1(self.T * math.log1p(-ratio)) if ratio < 1 \
             else self.U
 
     def membership(self, points, side):
         pts = np.asarray(points)
         targets = self.row_counts if side == 0 else self.col_counts
         symbols = np.arange(targets.shape[1])
-        member = np.ones((len(pts), self._T), dtype=bool)
+        member = np.ones((len(pts), self.T), dtype=bool)
         for t, perm in enumerate(self.perms):
             for i, target in enumerate(targets):
                 seg = pts[:, perm[self.boundaries[i]:self.boundaries[i + 1]]]
@@ -442,14 +428,9 @@ class TypeClassCode(BucketingCode):
         rows, buckets = np.nonzero(member)
         return rows.astype(np.int64), buckets.astype(np.int64)
 
-    def descriptor(self):
-        return {
-            "kind": "typeclass", "d": self.d, "T": self._T, "seed": self.seed,
-            "params": {
-                "matrix": self.p.entries.tolist(),
-                "block_counts": self.block_counts.tolist(),
-            },
-        }
+    def params(self):
+        return {"matrix": self.p.entries.tolist(),
+                "block_counts": self.block_counts.tolist()}
 
 
 def typeclass_code(p: ProbabilityMatrix, d: int, r_blocks, seed: int = 0,
@@ -465,17 +446,14 @@ class TensorPowerCode(BucketingCode):
     T^k buckets are never materialized.
     """
 
+    kind = "tensor_power"
+
     def __init__(self, base: BucketingCode, k: int):
         if k < 1:
             raise DomainError(f"tensor power k={k} must be >= 1")
+        super().__init__(base.d * k, base.T**k, base.seed)
         self.base = base
         self.k = k
-        self.d = base.d * k
-        self.seed = base.seed
-
-    @property
-    def T(self) -> int:
-        return self.base.T**self.k
 
     def bucket_probs(self):
         """One group per multiset of k base groups, a sorted index tuple in
@@ -527,10 +505,8 @@ class TensorPowerCode(BucketingCode):
         base_s = code_success_exact(self.base, p)
         return base_s**self.k
 
-    def descriptor(self):
-        return {"kind": "tensor_power", "d": self.d, "T": self.T,
-                "seed": self.seed,
-                "params": {"k": self.k, "base": self.base.descriptor()}}
+    def params(self):
+        return {"k": self.k, "base": self.base.descriptor()}
 
 
 class ConcatenatedCode(BucketingCode):
@@ -541,6 +517,8 @@ class ConcatenatedCode(BucketingCode):
     dimensions required).
     """
 
+    kind = "concatenate"
+
     def __init__(self, c1: BucketingCode, c2: BucketingCode, mode: str = "blocks"):
         if mode not in ("blocks", "union"):
             raise DomainError(f"unknown concatenation mode {mode!r}")
@@ -548,15 +526,11 @@ class ConcatenatedCode(BucketingCode):
             raise DimensionMismatch(
                 f"union mode needs equal dimensions, got {c1.d} and {c2.d}"
             )
+        super().__init__(c1.d + c2.d if mode == "blocks" else c1.d,
+                         c1.T + c2.T, c1.seed)
         self.c1 = c1
         self.c2 = c2
         self.mode = mode
-        self.d = c1.d + c2.d if mode == "blocks" else c1.d
-        self.seed = c1.seed
-
-    @property
-    def T(self) -> int:
-        return self.c1.T + self.c2.T
 
     def bucket_probs(self):
         return self.c1.bucket_probs() + self.c2.bucket_probs()
@@ -581,12 +555,9 @@ class ConcatenatedCode(BucketingCode):
         # blocks are disjoint coordinates, so failures are independent
         return 1.0 - (1.0 - s1) * (1.0 - s2)
 
-    def descriptor(self):
-        return {"kind": "concatenate", "d": self.d, "T": self.T,
-                "seed": self.seed,
-                "params": {"mode": self.mode,
-                           "first": self.c1.descriptor(),
-                           "second": self.c2.descriptor()}}
+    def params(self):
+        return {"mode": self.mode, "first": self.c1.descriptor(),
+                "second": self.c2.descriptor()}
 
 
 def tensor_power(code: BucketingCode, k: int) -> BucketingCode:
@@ -622,9 +593,11 @@ def _enumerate_states(b: int, d: int) -> np.ndarray:
 def _membership_matrix(code: BucketingCode, points: np.ndarray,
                        side: int) -> np.ndarray:
     """(n, T) float32 0/1 matrix, ready for a matmul that counts shared
-    buckets."""
-    if code.T > BUCKET_INDEX_GUARD:
-        raise TooLarge(f"{code.T} buckets exceed the enumeration guard")
+    buckets; refused before any membership is computed when its n T
+    entries exceed the guard."""
+    if len(points) * code.T > BUCKET_INDEX_GUARD:
+        raise TooLarge(f"{len(points)} states x {code.T} buckets exceed the "
+                       f"membership guard")
     m = np.zeros((len(points), code.T), dtype=np.float32)
     m[code.membership(points, side)] = 1.0
     return m
@@ -645,7 +618,8 @@ def code_success_exact(code: BucketingCode, p: ProbabilityMatrix) -> float:
     (x0, x1) state space and sums the product measure over co-bucketed
     pairs.  The guard (2^26 pair states) bounds the sweep's time; its
     memory is one row block of b0^(d - d//2) side-0 states against all
-    side-1 states, never the b0^d x b1^d pair array.
+    side-1 states, never the b0^d x b1^d pair array, plus each side's
+    (states, T) membership matrix, refused above 2^20 entries.
     """
     closed = code.success_exact(p)
     if closed is not None:
@@ -683,17 +657,18 @@ def _typeclass_from(desc: dict, params: dict) -> TypeClassCode:
 
 # descriptor kind -> builder(desc, params)
 _BUILDERS = {
-    "full_space": lambda desc, params: FullSpaceCode(desc["d"],
-                                                     desc.get("seed", 0)),
-    "empty": lambda desc, params: EmptyCode(desc["d"], desc.get("seed", 0)),
-    "classical": lambda desc, params: ClassicalCode(
+    FullSpaceCode.kind: lambda desc, params: FullSpaceCode(
+        desc["d"], desc.get("seed", 0)),
+    EmptyCode.kind: lambda desc, params: EmptyCode(desc["d"],
+                                                   desc.get("seed", 0)),
+    ClassicalCode.kind: lambda desc, params: ClassicalCode(
         desc["d"], params["k"], params["draws"], desc["seed"]),
-    "shell": lambda desc, params: ShellCode(desc["d"], params["d0"],
-                                            desc["T"], desc["seed"]),
-    "typeclass": _typeclass_from,
-    "tensor_power": lambda desc, params: TensorPowerCode(
+    ShellCode.kind: lambda desc, params: ShellCode(desc["d"], params["d0"],
+                                                   desc["T"], desc["seed"]),
+    TypeClassCode.kind: _typeclass_from,
+    TensorPowerCode.kind: lambda desc, params: TensorPowerCode(
         code_from_descriptor(params["base"]), params["k"]),
-    "concatenate": lambda desc, params: ConcatenatedCode(
+    ConcatenatedCode.kind: lambda desc, params: ConcatenatedCode(
         code_from_descriptor(params["first"]),
         code_from_descriptor(params["second"]), params["mode"]),
 }

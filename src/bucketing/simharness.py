@@ -174,7 +174,8 @@ def run_experiment(
     keys.  Comparisons are the pairs of equal keys across the two sides,
     from per-key counts when the keys are dense and from both sides' sorted
     keys otherwise (see _co_keyed_pairs).  Chunking changes no sample and
-    no count.  Raises OutOfRange unless n0, n1 >= 1.
+    no count.  Raises OutOfRange unless n0, n1 >= 1, and TooLarge when the
+    code's T bucket ids do not fit in int64.
     """
     if trials < 1:
         raise DomainError(f"trials={trials} must be >= 1")
@@ -183,8 +184,11 @@ def run_experiment(
     if d != code.d:
         raise DimensionMismatch(f"dataset d={d} but code has d={code.d}")
     # keys trial * T + bucket of a chunk must fit in int64
+    key_max = np.iinfo(np.int64).max
+    if code.T > key_max:
+        raise TooLarge(f"{code.T} bucket ids overflow int64")
     per_chunk = max(1, min(_TRIAL_CHUNK // max(n0, n1),
-                           np.iinfo(np.int64).max // max(code.T, 1)))
+                           key_max // max(code.T, 1)))
     datasets = _planted_trials(p, d, n0, n1, seed, trials)
     successes = 0
     comparisons = 0.0

@@ -301,6 +301,18 @@ class TestSimulate:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    def test_bucket_ids_beyond_int64_are_error(self, capsys):
+        # T = 2 * 2^62 bucket ids do not fit in int64
+        code, out, err = run_cli(
+            ["simulate", "--code", "classical", "--d", "64", "--k", "62",
+             "--T", "2", "--p", "0.9", "--n0", "50", "--n1", "50",
+             "--trials", "3", "--seed", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+        assert out == ""
+
     def test_classical_requires_k(self, capsys):
         code, _, _ = run_cli(
             ["simulate", "--code", "classical", "--d", "8", "--p", "0.9"],

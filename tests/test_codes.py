@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -489,6 +490,19 @@ class TestGuardsAndDescriptors:
         with pytest.raises(TooLarge):
             code_success_exact(shell_code(30, 15, 1, 0), bernoulli_matrix(0.9))
 
+    def test_membership_matrix_guard(self, monkeypatch):
+        def no_membership(self, points, side):
+            raise AssertionError("membership computed")
+
+        P = bernoulli_matrix(0.9)
+        monkeypatch.setattr("bucketing.codes.ShellCode.membership",
+                            no_membership)
+        # 4096 states x 257 buckets per side exceed the 2^20-entry guard
+        with pytest.raises(TooLarge):
+            code_success_exact(shell_code(12, 7, 257), P)
+        with pytest.raises(AssertionError):  # 4096 x 256 is admitted
+            code_success_exact(shell_code(12, 7, 256), P)
+
     def test_tensor_membership_guards(self):
         pts = np.zeros((2, 2), dtype=np.uint8)
         # d0 = d = 1 puts every point in all 1100 buckets: 1100^2 > 2^20
@@ -531,6 +545,27 @@ class TestGuardsAndDescriptors:
     def test_work_rejects_non_finite(self, n0, n1):
         with pytest.raises(DomainError):
             code_work(shell_code(4, 2, 1, 0), n0, n1)
+
+    # json.dumps of each descriptor: every_kind(), then a default-T
+    # type-class code; key order and every field are part of the format
+    DESCRIPTORS = (
+        '{"kind": "full_space", "d": 5, "T": 1, "seed": 0, "params": {}}',
+        '{"kind": "empty", "d": 5, "T": 0, "seed": 0, "params": {}}',
+        '{"kind": "shell", "d": 6, "T": 5, "seed": 11, "params": {"d0": 3}}',
+        '{"kind": "classical", "d": 6, "T": 12, "seed": 12, "params": {"k": 2, "draws": 3}}',
+        '{"kind": "typeclass", "d": 6, "T": 2, "seed": 13, "params": {"matrix": [[0.4, 0.09999999999999998], [0.09999999999999998, 0.4]], "block_counts": [[[2, 1], [1, 2]]]}}',
+        '{"kind": "tensor_power", "d": 6, "T": 4, "seed": 14, "params": {"k": 2, "base": {"kind": "shell", "d": 3, "T": 2, "seed": 14, "params": {"d0": 2}}}}',
+        '{"kind": "concatenate", "d": 4, "T": 6, "seed": 1, "params": {"mode": "union", "first": {"kind": "shell", "d": 4, "T": 2, "seed": 1, "params": {"d0": 2}}, "second": {"kind": "classical", "d": 4, "T": 4, "seed": 2, "params": {"k": 2, "draws": 1}}}}',
+        '{"kind": "concatenate", "d": 7, "T": 7, "seed": 3, "params": {"mode": "blocks", "first": {"kind": "classical", "d": 4, "T": 4, "seed": 3, "params": {"k": 1, "draws": 2}}, "second": {"kind": "shell", "d": 3, "T": 3, "seed": 4, "params": {"d0": 2}}}}',
+        '{"kind": "typeclass", "d": 6, "T": 1, "seed": 13, "params": {"matrix": [[0.4, 0.09999999999999998], [0.09999999999999998, 0.4]], "block_counts": [[[2, 1], [1, 2]]]}}',
+    )
+
+    def test_descriptor_bytes_pinned(self):
+        P = bernoulli_matrix(0.8)
+        codes = every_kind() + [typeclass_code(P, 6, [P.entries], seed=13)]
+        assert len(codes) == len(self.DESCRIPTORS)
+        for code, want in zip(codes, self.DESCRIPTORS):
+            assert json.dumps(code.descriptor()) == want
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
