@@ -49,8 +49,12 @@ def _parse_grid(text: str) -> list:
     if len(parts) != 3:
         raise ValueError(f"grid {text!r} is not lo:hi:step")
     lo, hi, step = (float(x) for x in parts)
-    if step <= 0 or hi < lo:
-        raise ValueError(f"grid {text!r} must have step > 0 and hi >= lo")
+    # written so that nan fails; a grid with a non-finite bound or step
+    # would never end
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)
+            and step > 0 and hi >= lo):
+        raise ValueError(
+            f"grid {text!r} must be finite with step > 0 and hi >= lo")
     out = []
     k = 0
     while True:

@@ -212,14 +212,21 @@ class ShellCode(BucketingCode):
     def membership(self, points, side):
         pts = np.asarray(points)
         # slices of points keep the points x centers offset matrix near
-        # _SHELL_SLICE entries; a lone empty slice covers zero points
+        # _SHELL_SLICE entries; a lone empty slice covers zero points.  The
+        # offsets are shifted and rectified in place and a lone slice is
+        # returned as it is, so the peak stays under twice the result
         step = max(1, _SHELL_SLICE // max(self.T, 1))
         rows, buckets = [], []
         for start in range(0, max(len(pts), 1), step):
-            offset = pts[start:start + step] @ self._signs + self._shift
-            r, b = np.nonzero(np.abs(offset) == 0.5)
-            rows.append(r.astype(np.int64) + start)
-            buckets.append(b.astype(np.int64))
+            offset = pts[start:start + step] @ self._signs
+            offset += self._shift
+            r, b = np.nonzero(np.abs(offset, out=offset) == 0.5)
+            r = r.astype(np.int64, copy=False)
+            r += start
+            rows.append(r)
+            buckets.append(b.astype(np.int64, copy=False))
+        if len(rows) == 1:
+            return rows[0], buckets[0]
         return np.concatenate(rows), np.concatenate(buckets)
 
     def params(self):

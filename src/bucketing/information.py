@@ -4,18 +4,22 @@ I generalizes Shannon mutual information (recovered at lambda0=lambda1=1,
 mu=infinity) and governs both the work lower bounds and the attainable
 region of bucketing codes.  The maximization underlying I is a difference
 of divergence terms and is not concave.  Each of the three regimes (mu <= 1,
-1 < mu < infinity, mu = infinity) supplies its own softmax-parametrized
-objective with its gradient, deterministic starts and a witness map; the
-exact closed-form candidates (vertices, the identity split, the
-concentrated-block stationary point) come from `_candidates`, and
-`info_numeric` alone solves: `_ascend` runs L-BFGS-B from every start and
-keeps the best of the local maxima and the candidates.  At lambda0 =
-lambda1 = 1 a candidate is exact in every regime, so no start runs there
-and `info_closed_form` is the best candidate.  The best candidate alone,
-`info_floor`, is a solve-free lower bound on I that lets the frontier
-bisection and the work bound's search skip points that cannot change their
-answer.  For a binary symmetric P the sub-conjugate region is the
-hypercontractivity ribbon, so its frontier takes no bisection at all.
+1 < mu < infinity, mu = infinity) supplies a softmax parametrization with
+its gradient, deterministic starts and a witness map.  The two block
+regimes map their parameters to a block family and share one objective,
+the definition lambda0 m0 + lambda1 m1 - mu s - w with its gradient
+(`_block_value_grad`); mu <= 1 keeps its own one-block form, so that its
+values stay the same to the last bit.  The exact closed-form candidates
+(vertices, the identity split, the concentrated-block stationary point)
+come from `_candidates`, and `info_numeric` alone solves: `_ascend` runs
+L-BFGS-B from every start and keeps the best of the local maxima and the
+candidates.  At lambda0 = lambda1 = 1 a candidate is exact in every regime,
+so no start runs there and `info_closed_form` is the best candidate.  The
+best candidate alone, `info_floor`, is a solve-free lower bound on I that
+lets the frontier bisection and the work bound's search skip points that
+cannot change their answer.  For a binary symmetric P the sub-conjugate
+region is the hypercontractivity ribbon, so its frontier takes no bisection
+at all.
 """
 
 from __future__ import annotations
@@ -223,7 +227,11 @@ def info_floor(p: ProbabilityMatrix, query: InfoQuery) -> float:
 def _single_term(p: ProbabilityMatrix, support, l0: float, l1: float,
                  mu: float, n_starts: int, seed: int):
     """l0 K(Q_row) + l1 K(Q_col) - mu K(Q||P) over prob matrices Q on the
-    support, as (value_grad, starts, witness) for `_ascend`."""
+    support, as (value_grad, starts, witness) for `_ascend`.
+
+    This is the block objective of `_block_value_grad` at one block Q, in
+    its own float form, which keeps every mu <= 1 value the same to the
+    last bit."""
     e = p.entries
     pr, pc = p.row_marginals, p.col_marginals
     jj, kk, ps = support
@@ -312,6 +320,44 @@ def _softmax(z, axis=None):
     return np.maximum(out, 1e-300)
 
 
+def _block_value_grad(p: ProbabilityMatrix, support, r, l0, l1, mu):
+    """The defining objective of I at the block family r, with its gradient.
+
+    r is an (nb, n) array whose row i holds the masses of block R_i on the
+    support cells, with total mass 1.  The value is
+    sum_i [l0 K(R_i,row) + l1 K(R_i,col) - K(R_i||R_*)] - mu K(R_*||P),
+    that is l0 m0 + l1 m1 - mu s - w; the mu term is dropped at
+    mu = infinity, where the regime keeps R_* = P.  The gradient d/dr is
+    that of the 1-homogeneous form, l0 ln(r_ij*/(r_i** p_j*))
+    + l1 ln(r_i*k/(r_i** p_*k)) - ln(r_ijk/(r_i** r_*jk))
+    - mu ln(r_*jk/p_jk).  On total mass 1 the gradient of any other form
+    differs from it by a constant, which every softmax's vector-Jacobian
+    product cancels.  By Euler's identity the value is the gradient's inner
+    product with r.
+    """
+    jj, kk, ps = support
+    # the product of two softmax floors underflows to 0; the logs are taken
+    # apart, as products of small masses underflow too
+    r = np.maximum(r, 1e-300)
+    m = np.zeros((len(r), *p.entries.shape))
+    m[:, jj, kk] = r
+    mix = r.sum(axis=0)
+    g = (l0 * (np.log(m.sum(axis=2))[:, jj] - np.log(p.row_marginals[jj]))
+         + l1 * (np.log(m.sum(axis=1))[:, kk] - np.log(p.col_marginals[kk]))
+         - np.log(r) + np.log(mix)
+         + (1.0 - l0 - l1) * np.log(r.sum(axis=1, keepdims=True)))
+    if not math.isinf(mu):
+        g -= mu * np.log(mix / ps)
+    return float(np.sum(r * g)), g
+
+
+def _kept_blocks(p: ProbabilityMatrix, support, r):
+    """The rows of the block family r with mass at least 1e-12, as
+    witness matrices shaped like P."""
+    jj, kk, _ = support
+    return _scatter(p.entries, jj, kk, r[r.sum(axis=1) >= 1e-12])
+
+
 def _multi_block(p: ProbabilityMatrix, support, w, l0, l1, mu, n_starts,
                  seed):
     """The multi-block objective for finite mu > 1, as (value_grad, starts,
@@ -320,49 +366,18 @@ def _multi_block(p: ProbabilityMatrix, support, w, l0, l1, mu, n_starts,
     Blocks R_i = w_i Q_i with w = softmax(u) and each Q_i = softmax(Z_i)
     restricted to the support of P; b0*b1 blocks suffice by Caratheodory.
     """
-    e = p.entries
-    pr, pc = p.row_marginals, p.col_marginals
-    jj, kk, ps = support
-    b0, b1 = e.shape
-    n = ps.size
-    nb = b0 * b1
+    n = support[2].size
+    nb = p.entries.size
 
-    lr = np.log(pr[jj])
-    lc = np.log(pc[kk])
-    lp = np.log(ps)
-
-    row_onehot = np.eye(b0)[jj]
-    col_onehot = np.eye(b1)[kk]
+    def split(x):
+        return _softmax(x[:nb]), _softmax(x[nb:].reshape(nb, n), axis=1)
 
     def value_grad(x):
-        u = x[:nb]
-        z = x[nb:].reshape(nb, n)
-        w = _softmax(u)
-        q = _softmax(z, axis=1)
-        qr = q @ row_onehot
-        qc = q @ col_onehot
-        lqr = np.log(qr[:, jj]) - lr  # (nb, n) log(qr_j / pr_j) per cell
-        lqc = np.log(qc[:, kk]) - lc
-        lqp = np.log(q) - lp
-        phi = (
-            l0 * np.sum(q * lqr, axis=1)
-            + l1 * np.sum(q * lqc, axis=1)
-            - np.sum(q * lqp, axis=1)
-        )
-        mix = w @ q
-        lm = np.log(mix) - lp
-        k_mix = float(np.sum(mix * lm))
-        val = float(w @ phi) + (1.0 - mu) * k_mix
-
-        a = phi + (1.0 - mu) * (q @ (lm + 1.0))
+        w, q = split(x)
+        val, g = _block_value_grad(p, support, w[:, None] * q, l0, l1, mu)
+        a = np.sum(q * g, axis=1)
         grad_u = w * (a - float(w @ a))
-        gq = (
-            l0 * (lqr + 1.0)
-            + l1 * (lqc + 1.0)
-            - (lqp + 1.0)
-            + (1.0 - mu) * (lm + 1.0)[None, :]
-        ) * w[:, None]
-        grad_z = q * (gq - np.sum(q * gq, axis=1, keepdims=True))
+        grad_z = (w[:, None] * q) * (g - a[:, None])
         return val, np.concatenate([grad_u, grad_z.ravel()])
 
     # Start at the concentrated stationary point.
@@ -377,9 +392,8 @@ def _multi_block(p: ProbabilityMatrix, support, w, l0, l1, mu, n_starts,
                    derive_rng(seed, "multi-block-starts"), (0.5, 1.5, 3.0))
 
     def witness(x):
-        w = _softmax(x[:nb])
-        q = _softmax(x[nb:].reshape(nb, n), axis=1)
-        return _scatter(e, jj, kk, (w[:, None] * q)[w >= 1e-12])
+        w, q = split(x)
+        return _kept_blocks(p, support, w[:, None] * q)
 
     return value_grad, starts, witness
 
@@ -391,40 +405,13 @@ def _infinite_mu(p: ProbabilityMatrix, support, l0, l1, n_starts, seed):
     The (1-mu) K(R_*||P) penalty forces R_* = P in the limit, so blocks are
     parametrized as r_{i,jk} = p_jk c_{i|jk} with a per-cell softmax over i.
     """
-    e = p.entries
-    pr, pc = p.row_marginals, p.col_marginals
-    jj, kk, ps = support
-    b0, b1 = e.shape
-    n = ps.size
-    nb = n
+    ps = support[2]
+    n = nb = ps.size
 
-    lr = np.log(pr[jj])
-    lc = np.log(pc[kk])
-    lp = np.log(ps)
-
-    row_onehot = np.eye(b0)[jj]
-    col_onehot = np.eye(b1)[kk]
-
-    def value_grad(zflat):
-        z = zflat.reshape(nb, n)
-        c = _softmax(z, axis=0)
-        r = ps[None, :] * c
-        mass = r.sum(axis=1)  # r_{i,**}
-        rr = r @ row_onehot
-        rc = r @ col_onehot
-        lmass = np.log(mass)
-        # per-cell derivative ln(r_{i,j*}/(r_{i,**} p_j*)) etc.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_row = np.log(rr[:, jj]) - lmass[:, None] - lr[None, :]
-            t_col = np.log(rc[:, kk]) - lmass[:, None] - lc[None, :]
-            t_jnt = np.log(r) - lmass[:, None] - lp[None, :]
-        t_row = np.nan_to_num(t_row, neginf=0.0)
-        t_col = np.nan_to_num(t_col, neginf=0.0)
-        val = float(
-            np.sum(r * np.nan_to_num(l0 * t_row + l1 * t_col - t_jnt, nan=0.0))
-        )
-        g = l0 * t_row + l1 * t_col - np.nan_to_num(t_jnt, neginf=0.0)
-        grad_z = ps[None, :] * c * (g - np.sum(c * g, axis=0, keepdims=True))
+    def value_grad(x):
+        c = _softmax(x.reshape(nb, n), axis=0)
+        val, g = _block_value_grad(p, support, ps * c, l0, l1, math.inf)
+        grad_z = ps * c * (g - np.sum(c * g, axis=0, keepdims=True))
         return val, grad_z.ravel()
 
     starts = [np.eye(nb).ravel() * _VERTEX_LOGIT, np.zeros(nb * n)]
@@ -432,8 +419,8 @@ def _infinite_mu(p: ProbabilityMatrix, support, l0, l1, n_starts, seed):
                    derive_rng(seed, "inf-mu-starts"), (1.5,))
 
     def witness(x):
-        r = ps[None, :] * _softmax(x.reshape(nb, n), axis=0)
-        return _scatter(e, jj, kk, r[r.sum(axis=1) >= 1e-12])
+        r = ps * _softmax(x.reshape(nb, n), axis=0)
+        return _kept_blocks(p, support, r)
 
     return value_grad, starts, witness
 
@@ -453,12 +440,16 @@ def info_numeric(p: ProbabilityMatrix, query: InfoQuery, n_starts: int = 32,
 
     Multi-start L-BFGS-B ascent over a softmax parametrization; for
     mu <= 1 the single-term form suffices, for mu > 1 the full b0*b1-block
-    objective is maximized.  A maximum attained by an exact closed-form
-    candidate counts as converged; otherwise non-convergence (no two starts
-    agreeing with the maximum within 1e-6) is reported via converged=False,
-    never raised.  At lambda0 = lambda1 = 1 a candidate is exact in every
-    regime (info_closed_form), so no start runs: the best candidate is
-    returned with method "closed_form" and converged=True.
+    objective is maximized.  Both block regimes evaluate the one objective
+    lambda0 m0 + lambda1 m1 - mu s - w (`_block_value_grad`, without the
+    mu s term at mu = infinity); mu <= 1 keeps its one-block form so that
+    its values stay the same to the last bit.  A maximum attained by an
+    exact closed-form candidate counts as converged; otherwise
+    non-convergence (no two starts agreeing with the maximum within 1e-6)
+    is reported via converged=False, never raised.  At lambda0 = lambda1 = 1
+    a candidate is exact in every regime (info_closed_form), so no start
+    runs: the best candidate is returned with method "closed_form" and
+    converged=True.
 
     n_starts is a floor, not a count: max(n_starts, 4 * support cells)
     starts run for mu <= 1 (at mu = 0 the support is every cell with a

@@ -204,6 +204,22 @@ class TestSubcommands:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--p", "0.9", "--lambda0-grid", "0:nan:0.5"],
+        ["sweep", "--p", "0.9", "--lambda0-grid", "nan:1:0.5"],
+        ["sweep", "--p", "0.9", "--mu-grid", "0:1:nan"],
+        ["sweep", "--p", "0.9", "--lambda1-grid", "0:1:inf"],
+        ["conjecture", "--p-grid", "0.55:inf:0.1", "--resolution", "12"],
+        ["conjecture", "--p-grid=-inf:0.9:0.1", "--resolution", "12"],
+    ], ids=["nan-hi", "nan-lo", "nan-step", "inf-step", "inf-hi", "inf-lo"])
+    def test_non_finite_grid_is_error(self, argv, capsys):
+        # a nan or infinite hi used to loop forever, and a nan lo grew
+        # the grid until memory ran out
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "finite" in err
+        assert out == ""
+
 
 class TestSimulate:
     ARGS = [

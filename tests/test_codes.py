@@ -210,6 +210,21 @@ class TestShellCode:
             expected = np.flatnonzero((agree == d0 - 1) | (agree == d0))
             assert np.array_equal(buckets[ends[i]:ends[i + 1]], expected)
 
+    def test_membership_peak_memory(self):
+        # one slice of 4096 states x 256 centers: the float32 offsets and
+        # nonzero's int64 output are all that needs to be live at once
+        code = shell_code(12, 7, 256, seed=0)
+        states = np.array(list(itertools.product((0, 1), repeat=12)),
+                          dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            rows, buckets = code.membership(states, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.dtype == buckets.dtype == np.int64
+        assert peak <= 2.5 * (rows.nbytes + buckets.nbytes)
+
 
 class TestClassicalCode:
     def test_single_draw_success_is_p_to_k(self):

@@ -202,6 +202,36 @@ class TestInfoNumeric:
         with pytest.raises(SupportViolation):
             block_objective(matrices[-1], [[[0.0, 1.0], [0.0, 0.0]]], 1.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 2.0, 8.0, math.inf])
+    def test_value_grad_every_regime(self, mu):
+        # each regime's value is the definition at its witness, and its
+        # gradient is the derivative of that value; at scale 1.5 no
+        # witness block falls under the mass at which it is dropped
+        rng = derive_rng(45, "grad")
+        matrices = [
+            SKEW,
+            make_matrix([[0.2, 0.0], [0.4, 0.4]]),
+            make_matrix([[0.3, 0.1, 0.05], [0.05, 0.2, 0.3]]),
+            tensor(SKEW, BERN9),
+        ]
+        l0, l1, h = 0.8, 0.6, 1e-6
+        for p in matrices:
+            support = information._support(p, mu)
+            _, w = information._candidates(p, l0, l1, mu, support)
+            value_grad, starts, witness = information._problem(
+                p, support, w, l0, l1, mu, n_starts=1, seed=20240)
+            x = rng.normal(scale=1.5, size=starts[0].size)
+            val, grad = value_grad(x)
+            assert val == pytest.approx(
+                block_objective(p, witness(x), l0, l1, mu), abs=1e-10)
+            steps = np.eye(x.size) * h
+            central = np.array([
+                (value_grad(x + e)[0] - value_grad(x - e)[0]) / (2 * h)
+                for e in steps
+            ])
+            err = np.max(np.abs(central - grad))
+            assert err <= 1e-5 * np.max(np.abs(grad))
+
     def test_grid_oracle_single_term(self):
         # dense simplex scan of the single-term objective (mu <= 1 regime)
         p = SKEW
