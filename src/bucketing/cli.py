@@ -39,6 +39,10 @@ from .simharness import (
     write_csv,
 )
 
+# most points a lo:hi:step grid may hold, so that a tiny step fails at once
+# instead of filling memory
+GRID_MAX_POINTS = 10**6
+
 
 def _parse_grid(text: str) -> list:
     """Parse lo:hi:step into an inclusive float grid; a bare number is a
@@ -55,6 +59,9 @@ def _parse_grid(text: str) -> list:
             and step > 0 and hi >= lo):
         raise ValueError(
             f"grid {text!r} must be finite with step > 0 and hi >= lo")
+    if (hi - lo) / step > GRID_MAX_POINTS:
+        raise ValueError(
+            f"grid {text!r} has more than {GRID_MAX_POINTS} points")
     out = []
     k = 0
     while True:
@@ -64,12 +71,6 @@ def _parse_grid(text: str) -> list:
         out.append(round(v, 12))
         k += 1
     return out
-
-
-def _parse_mu(text: str) -> float:
-    if text.strip().lower() == "inf":
-        return math.inf
-    return float(text)
 
 
 def _load_matrix(args, parser):
@@ -111,7 +112,7 @@ def _emit(args, text: str) -> None:
 def _cmd_info(args, parser):
     p = _load_matrix(args, parser)
     res = info_numeric(
-        p, InfoQuery(args.lambda0, args.lambda1, _parse_mu(args.mu)),
+        p, InfoQuery(args.lambda0, args.lambda1, float(args.mu)),
         n_starts=args.starts, seed=args.seed,
     )
     _emit(args, f"{res.value:.7f}\n# method {res.method}\n")
@@ -200,17 +201,19 @@ def _cmd_simulate(args, parser):
 def _cmd_sweep(args, parser):
     p = _load_matrix(args, parser)
     lines = ["lambda0,lambda1,mu,value,method"]
-    for l0 in _parse_grid(args.lambda0_grid):
-        for l1 in _parse_grid(args.lambda1_grid):
-            for mu_text in args.mu_grid.split(","):
-                for mu in ([math.inf] if mu_text.strip().lower() == "inf"
-                           else _parse_grid(mu_text)):
-                    res = info_numeric(p, InfoQuery(l0, l1, mu),
-                                       n_starts=args.starts, seed=args.seed)
-                    mu_str = "inf" if mu == math.inf else repr(mu)
-                    lines.append(
-                        f"{l0!r},{l1!r},{mu_str},{res.value!r},{res.method}"
-                    )
+    l0_grid = _parse_grid(args.lambda0_grid)
+    l1_grid = _parse_grid(args.lambda1_grid)
+    mu_grid = [mu for part in args.mu_grid.split(",")
+               for mu in _parse_grid(part)]
+    for l0 in l0_grid:
+        for l1 in l1_grid:
+            for mu in mu_grid:
+                res = info_numeric(p, InfoQuery(l0, l1, mu),
+                                   n_starts=args.starts, seed=args.seed)
+                mu_str = "inf" if mu == math.inf else repr(mu)
+                lines.append(
+                    f"{l0!r},{l1!r},{mu_str},{res.value!r},{res.method}"
+                )
     _emit(args, "\n".join(lines) + "\n")
 
 

@@ -301,6 +301,7 @@ def shell_analytics(d: int, d0: int, p: float, epsilon: float) -> ShellAnalytics
 
 
 def classical_code(d: int, k: int, T: int = 1, seed: int = 0) -> ClassicalCode:
+    """T counts draws, so `code.T` = T * 2^k (T = 8 at k = 13 gives 65 536)."""
     return ClassicalCode(d, k, T, seed)
 
 
@@ -358,8 +359,9 @@ class TypeClassCode(BucketingCode):
     Block i occupies a contiguous run of d_{i,**} coordinates (after a
     per-bucket random permutation); side 0 requires exactly d_{i,j*}
     occurrences of symbol j in block i, side 1 the column counts d_{i,*k}.
-    Bucket 0 uses the identity permutation, buckets 1..T-1 independent
-    uniform permutations.
+    Bucket 0 uses the identity permutation, bucket t >= 1 the uniform
+    permutation drawn from stream (seed, "typeclass-perm", t) when
+    `membership` needs it, so building a code costs the same at any T.
     """
 
     kind = "typeclass"
@@ -407,10 +409,6 @@ class TypeClassCode(BucketingCode):
         if T is None:
             T = max(1, math.ceil(math.exp(ln_u - ln_v)))
         super().__init__(d, T, seed)
-        self.perms = np.zeros((self.T, d), dtype=np.int64)
-        for t in range(self.T):
-            self.perms[t] = (derive_rng(seed, "typeclass-perm", t).permutation(d)
-                             if t else np.arange(d))
 
     def bucket_probs(self):
         return [(self.T, self._p0, self._p1)]
@@ -426,7 +424,9 @@ class TypeClassCode(BucketingCode):
         targets = self.row_counts if side == 0 else self.col_counts
         symbols = np.arange(targets.shape[1])
         member = np.ones((len(pts), self.T), dtype=bool)
-        for t, perm in enumerate(self.perms):
+        for t in range(self.T):
+            perm = (derive_rng(self.seed, "typeclass-perm", t).permutation(self.d)
+                    if t else np.arange(self.d))
             for i, target in enumerate(targets):
                 seg = pts[:, perm[self.boundaries[i]:self.boundaries[i + 1]]]
                 # a symbol outside the alphabet leaves the counts short

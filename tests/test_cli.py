@@ -220,6 +220,26 @@ class TestSubcommands:
         assert "finite" in err
         assert out == ""
 
+    def test_tiny_step_grid_is_error(self, capsys):
+        # 10^12 points would be appended one at a time until memory ran
+        # out; the cap refuses the grid before building any of it
+        code, out, err = run_cli(
+            ["sweep", "--p", "0.9", "--lambda0-grid", "0:1:1e-12"], capsys)
+        assert code == 1
+        assert f"more than {cli.GRID_MAX_POINTS} points" in err
+        assert out == ""
+
+    def test_sweep_mu_inf_spellings(self, capsys):
+        bodies = []
+        for grid in ("0:1:0.5,inf", "0:1:0.5, INF"):
+            code, out, _ = run_cli(["sweep", "--p", "0.9", "--mu-grid", grid],
+                                   capsys)
+            assert code == 0
+            bodies.append([l for l in out.splitlines()
+                           if not l.startswith("#")])
+        assert bodies[0] == bodies[1]
+        assert bodies[0][-1].split(",")[2] == "inf"
+
 
 class TestSimulate:
     ARGS = [

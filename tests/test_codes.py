@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import json
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -29,6 +31,7 @@ from bucketing.errors import (
     RoundingInfeasible,
     TooLarge,
 )
+from bucketing.information import InfoQuery, info_numeric
 from bucketing.probmodel import bernoulli_matrix, make_matrix
 
 
@@ -335,13 +338,66 @@ class TestTypeClassCode:
                                [[[math.nan, 0.05], [0.05, 0.45]]])
 
     def test_one_permutation_per_bucket(self):
-        assert len(typeclass_code(self.P, 6, [self.P.entries], T=3).perms) == 3
+        code = typeclass_code(self.P, 6, [self.P.entries], T=3)
+        for side in (0, 1):
+            _, buckets = code.membership(ALL_POINTS_6, side)
+            assert set(buckets.tolist()) == {0, 1, 2}
         code = typeclass_code(self.P, 6, [self.P.entries], T=0)
-        assert code.T == len(code.perms) == 0
+        assert code.T == 0
         for side in (0, 1):
             rows, buckets = code.membership(ALL_POINTS_6, side)
             assert rows.size == buckets.size == 0
         assert code.work(5, 5) == 0.0
+
+    def test_witness_code_at_large_d(self, monkeypatch):
+        # T = ceil(U/V) is about 3.2e13 at d = 48, so a code that stored
+        # one permutation per bucket could not be built
+        p = bernoulli_matrix(0.9)
+        witness = info_numeric(p, InfoQuery(0.75, 0.75, 2)).witness
+        start = time.perf_counter()
+        code = typeclass_code(p, 48, witness)
+        work = code.work(1e3, 1e3)
+        floor = code.success_lower_bound()
+        text = json.dumps(code.descriptor())
+        elapsed = time.perf_counter() - start
+        assert code.T > 2**44
+        assert math.isfinite(work) and math.isfinite(floor)
+        assert json.loads(text)["T"] == code.T
+        assert elapsed < 1.0
+
+        def refuse(points, side):
+            raise AssertionError("membership reached")
+
+        monkeypatch.setattr(code, "membership", refuse)
+        with pytest.raises(TooLarge):
+            code_success_exact(code, p)
+
+    # sha256 over both sides' membership arrays on all 2^8 states, then
+    # the descriptor JSON; floats are left out, since exact S goes through
+    # BLAS and may differ in the last bit between machines
+    MEMBERSHIP_SHA256 = {
+        "witness-d8": "434005836e9de43a887c7bf72c5e6d2d"
+                      "57f35a411560d7033e7c0bfd69e0479f",
+        "two-blocks-T3": "829449253110c1f20114001c7b7fa7ae"
+                         "ed1a3f2918620034ecdd70d5e356460e",
+    }
+
+    def test_membership_bytes_pinned(self):
+        p8, p9 = bernoulli_matrix(0.8), bernoulli_matrix(0.9)
+        witness = info_numeric(p9, InfoQuery(0.75, 0.75, 2)).witness
+        codes = {
+            "witness-d8": typeclass_code(p9, 8, witness),
+            "two-blocks-T3": typeclass_code(p8, 8, [p8.entries * 0.5] * 2,
+                                            seed=0, T=3),
+        }
+        pts = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint8)
+        for name, code in codes.items():
+            h = hashlib.sha256()
+            for side in (0, 1):
+                for arr in code.membership(pts, side):
+                    h.update(arr.astype(np.int64).tobytes())
+            h.update(json.dumps(code.descriptor()).encode())
+            assert h.hexdigest() == self.MEMBERSHIP_SHA256[name], name
 
     def test_support_violation(self):
         gappy = make_matrix([[0.5, 0.0], [0.25, 0.25]])
