@@ -173,9 +173,7 @@ def _build_code(args, parser, p):
             parser.error("--k is required for --code classical")
         draws = 1 if args.T is None else args.T
         return classical_code(args.d, args.k, draws, seed=args.seed)
-    if kind == "typeclass":
-        if args.matrix is None:
-            parser.error("--code typeclass requires --matrix (blocks = P)")
+    if kind == "typeclass":  # one block, P itself
         return typeclass_code(p, args.d, [p.entries], seed=args.seed,
                               T=args.T)
     if kind == "full":

@@ -362,6 +362,7 @@ class TypeClassCode(BucketingCode):
     Bucket 0 uses the identity permutation, bucket t >= 1 the uniform
     permutation drawn from stream (seed, "typeclass-perm", t) when
     `membership` needs it, so building a code costs the same at any T.
+    `membership` walks every bucket, so it refuses T > BUCKET_INDEX_GUARD.
     """
 
     kind = "typeclass"
@@ -420,6 +421,9 @@ class TypeClassCode(BucketingCode):
             else self.U
 
     def membership(self, points, side):
+        if self.T > BUCKET_INDEX_GUARD:
+            raise TooLarge(f"{self.T} type-class buckets exceed the "
+                           f"materialized bucket guard")
         pts = np.asarray(points)
         targets = self.row_counts if side == 0 else self.col_counts
         symbols = np.arange(targets.shape[1])

@@ -5,21 +5,24 @@ mu=infinity) and governs both the work lower bounds and the attainable
 region of bucketing codes.  The maximization underlying I is a difference
 of divergence terms and is not concave.  Each of the three regimes (mu <= 1,
 1 < mu < infinity, mu = infinity) supplies a softmax parametrization with
-its gradient, deterministic starts and a witness map.  The two block
-regimes map their parameters to a block family and share one objective,
-the definition lambda0 m0 + lambda1 m1 - mu s - w with its gradient
-(`_block_value_grad`); mu <= 1 keeps its own one-block form, so that its
-values stay the same to the last bit.  The exact closed-form candidates
-(vertices, the identity split, the concentrated-block stationary point)
-come from `_candidates`, and `info_numeric` alone solves: `_ascend` runs
+its gradient, deterministic starts and a map from a solution to its block
+family, an (nb, n) array of the masses of each block R_i on the n support
+cells; inside the solver a block family takes no other form.  The two
+block regimes share one objective, the definition
+lambda0 m0 + lambda1 m1 - mu s - w with its gradient (`_block_value_grad`);
+mu <= 1 keeps its own one-block form, so that its values stay the same to
+the last bit.  The exact closed-form candidates (vertices, the identity
+split, the concentrated-block stationary point) come from `_candidates` as
+block families too, and `info_numeric` alone solves: `_ascend` runs
 L-BFGS-B from every start and keeps the best of the local maxima and the
-candidates.  At lambda0 = lambda1 = 1 a candidate is exact in every regime,
-so no start runs there and `info_closed_form` is the best candidate.  The
-best candidate alone, `info_floor`, is a solve-free lower bound on I that
-lets the frontier bisection and the work bound's search skip points that
-cannot change their answer.  For a binary symmetric P the sub-conjugate
-region is the hypercontractivity ribbon, so its frontier takes no bisection
-at all.
+candidates.  Witness matrices are built once, in `info_numeric`, for the
+answer it returns.  At lambda0 = lambda1 = 1 a candidate is exact in every
+regime, so no start runs there and `info_closed_form` is the best
+candidate.  The best candidate alone, `info_floor`, is a solve-free lower
+bound on I that lets the frontier bisection and the work bound's search
+skip points that cannot change their answer.  For a binary symmetric P the
+sub-conjugate region is the hypercontractivity ribbon, so its frontier
+takes no bisection at all.
 """
 
 from __future__ import annotations
@@ -175,9 +178,10 @@ def _support(p: ProbabilityMatrix, mu: float):
 
 def _candidates(p: ProbabilityMatrix, l0: float, l1: float, mu: float,
                 support):
-    """Exact (value, blocks, True) candidates of the regime at mu over its
-    `_support`, in the order the solver ranks them, and the
-    concentrated-point weights w (None outside 1 < mu < infinity).
+    """Exact (value, r) candidates of the regime at mu over its `_support`,
+    r the block family as masses on the support cells, in the order the
+    solver ranks them, and the concentrated-point weights w (None outside
+    1 < mu < infinity).
 
     The single block P (value 0) comes first.  Then, for mu <= 1, every
     vertex of the simplex over the support; for 1 < mu < infinity, the
@@ -186,28 +190,27 @@ def _candidates(p: ProbabilityMatrix, l0: float, l1: float, mu: float,
     log-sum-exp; at mu = infinity, the identity split with one block per
     cell.
     """
-    e = p.entries
     pr, pc = p.row_marginals, p.col_marginals
     jj, kk, ps = support
-    out = [(0.0, [e.copy()], True)]
+    out = [(0.0, ps[None])]
     if mu <= 1:
-        vertices = _scatter(e, jj, kk, np.eye(ps.size))
+        vertices = np.eye(ps.size)[:, None]
         for t in range(ps.size):
             v = (l0 * math.log(1.0 / pr[jj[t]])
                  + l1 * math.log(1.0 / pc[kk[t]]))
             if mu > 0:
                 v -= mu * math.log(1.0 / ps[t])
-            out.append((v, [vertices[t]], True))
+            out.append((v, vertices[t]))
         return out, None
     lr, lc, lp = np.log(pr[jj]), np.log(pc[kk]), np.log(ps)
     if math.isinf(mu):
         ident = float(np.sum(ps * (lp - l0 * lr - l1 * lc)))
-        out.append((ident, _scatter(e, jj, kk, np.diag(ps)), True))
+        out.append((ident, np.diag(ps)))
         return out, None
     logw = lp + (-l0 * lr - l1 * lc + lp) / (mu - 1.0)
     lse = float(np.logaddexp.reduce(logw))
     w = np.exp(logw - lse)
-    out.append(((mu - 1.0) * lse, _scatter(e, jj, kk, np.diag(w)), True))
+    out.append(((mu - 1.0) * lse, np.diag(w)))
     return out, w
 
 
@@ -221,13 +224,13 @@ def info_floor(p: ProbabilityMatrix, query: InfoQuery) -> float:
     """
     mu = query.mu
     cands, _ = _candidates(p, query.lambda0, query.lambda1, mu, _support(p, mu))
-    return max(v for v, _, _ in cands)
+    return max(v for v, _ in cands)
 
 
 def _single_term(p: ProbabilityMatrix, support, l0: float, l1: float,
                  mu: float, n_starts: int, seed: int):
     """l0 K(Q_row) + l1 K(Q_col) - mu K(Q||P) over prob matrices Q on the
-    support, as (value_grad, starts, witness) for `_ascend`.
+    support, as (value_grad, starts, family) for `_ascend`.
 
     This is the block objective of `_block_value_grad` at one block Q, in
     its own float form, which keeps every mu <= 1 value the same to the
@@ -264,14 +267,13 @@ def _single_term(p: ProbabilityMatrix, support, l0: float, l1: float,
     # start count with the cell count and vary the dispersion
     _random_starts(starts, max(n_starts, 4 * n), n,
                    derive_rng(seed, "single-term-starts"), (0.5, 1.5, 3.0))
-    return (value_grad, starts,
-            lambda z: _scatter(e, jj, kk, _softmax(z)[None]))
+    return value_grad, starts, lambda z: _softmax(z)[None]
 
 
-def _ascend(value_grad, starts, witness, candidates):
-    """(value, witness, exact, converged) of the best L-BFGS-B ascent of
-    value_grad(x) -> (value, gradient) from any start, with blocks
-    witness(x), or of an exact (value, witness, True) candidate.
+def _ascend(value_grad, starts, family, candidates):
+    """(value, r, exact, converged) of the best L-BFGS-B ascent of
+    value_grad(x) -> (value, gradient) from any start, with block family
+    r = family(x), or of an exact (value, r) candidate.
 
     An exact candidate is its own evidence; an optimizer result counts as
     converged when some other result comes within 1e-6 of it.
@@ -288,8 +290,9 @@ def _ascend(value_grad, starts, witness, candidates):
             options={"maxiter": 400},
         )
         val, _ = value_grad(res.x)
-        results.append((val, witness(res.x), False))
-    results = sorted(results + candidates, key=lambda t: t[0], reverse=True)
+        results.append((val, family(res.x), False))
+    results += [(v, r, True) for v, r in candidates]
+    results.sort(key=lambda t: t[0], reverse=True)
     best_val, best, exact = results[0]
     near = sum(1 for v, _, _ in results if v >= best_val - 1e-6)
     return best_val, best, exact, exact or near >= 2
@@ -302,14 +305,6 @@ def _random_starts(starts, target, size, rng, scales):
         starts.append(
             rng.normal(scale=scales[len(starts) % len(scales)], size=size)
         )
-
-
-def _scatter(e, jj, kk, rows):
-    """One matrix shaped like e per row of `rows`, the row placed on the
-    support cells (jj, kk) and zero elsewhere."""
-    blocks = np.zeros((len(rows), *e.shape))
-    blocks[:, jj, kk] = rows
-    return list(blocks)
 
 
 def _softmax(z, axis=None):
@@ -351,17 +346,10 @@ def _block_value_grad(p: ProbabilityMatrix, support, r, l0, l1, mu):
     return float(np.sum(r * g)), g
 
 
-def _kept_blocks(p: ProbabilityMatrix, support, r):
-    """The rows of the block family r with mass at least 1e-12, as
-    witness matrices shaped like P."""
-    jj, kk, _ = support
-    return _scatter(p.entries, jj, kk, r[r.sum(axis=1) >= 1e-12])
-
-
 def _multi_block(p: ProbabilityMatrix, support, w, l0, l1, mu, n_starts,
                  seed):
     """The multi-block objective for finite mu > 1, as (value_grad, starts,
-    witness) for `_ascend`; w are the concentrated-point weights.
+    family) for `_ascend`; w are the concentrated-point weights.
 
     Blocks R_i = w_i Q_i with w = softmax(u) and each Q_i = softmax(Z_i)
     restricted to the support of P; b0*b1 blocks suffice by Caratheodory.
@@ -391,16 +379,16 @@ def _multi_block(p: ProbabilityMatrix, support, w, l0, l1, mu, n_starts,
     _random_starts(starts, max(n_starts, 4 * nb), nb + nb * n,
                    derive_rng(seed, "multi-block-starts"), (0.5, 1.5, 3.0))
 
-    def witness(x):
+    def family(x):
         w, q = split(x)
-        return _kept_blocks(p, support, w[:, None] * q)
+        return w[:, None] * q
 
-    return value_grad, starts, witness
+    return value_grad, starts, family
 
 
 def _infinite_mu(p: ProbabilityMatrix, support, l0, l1, n_starts, seed):
     """mu = infinity: block splittings of P itself, as (value_grad, starts,
-    witness) for `_ascend`.
+    family) for `_ascend`.
 
     The (1-mu) K(R_*||P) penalty forces R_* = P in the limit, so blocks are
     parametrized as r_{i,jk} = p_jk c_{i|jk} with a per-cell softmax over i.
@@ -418,15 +406,13 @@ def _infinite_mu(p: ProbabilityMatrix, support, l0, l1, n_starts, seed):
     _random_starts(starts, n_starts, nb * n,
                    derive_rng(seed, "inf-mu-starts"), (1.5,))
 
-    def witness(x):
-        r = ps * _softmax(x.reshape(nb, n), axis=0)
-        return _kept_blocks(p, support, r)
-
-    return value_grad, starts, witness
+    return (value_grad, starts,
+            lambda x: ps * _softmax(x.reshape(nb, n), axis=0))
 
 
 def _problem(p: ProbabilityMatrix, support, w, l0, l1, mu, n_starts, seed):
-    """The regime at mu as (value_grad, starts, witness) for `_ascend`."""
+    """The regime at mu as (value_grad, starts, family) for `_ascend`,
+    family(x) the block family of x as masses on the support cells."""
     if math.isinf(mu):
         return _infinite_mu(p, support, l0, l1, n_starts, seed)
     if mu > 1:
@@ -449,7 +435,9 @@ def info_numeric(p: ProbabilityMatrix, query: InfoQuery, n_starts: int = 32,
     is reported via converged=False, never raised.  At lambda0 = lambda1 = 1
     a candidate is exact in every regime (info_closed_form), so no start
     runs: the best candidate is returned with method "closed_form" and
-    converged=True.
+    converged=True.  The witness matrices are the winner's block family
+    placed on the support cells, without the blocks of mass below 1e-12
+    when the winner is a local maximum.
 
     n_starts is a floor, not a count: max(n_starts, 4 * support cells)
     starts run for mu <= 1 (at mu = 0 the support is every cell with a
@@ -464,8 +452,12 @@ def info_numeric(p: ProbabilityMatrix, query: InfoQuery, n_starts: int = 32,
         problem = (None, (), None)  # no starts: the best candidate wins
     else:
         problem = _problem(p, support, w, l0, l1, mu, n_starts, seed)
-    val, blocks, exact, conv = _ascend(*problem, candidates)
-    witness = tuple(NonnegMatrix(np.asarray(b)) for b in blocks)
+    val, r, exact, conv = _ascend(*problem, candidates)
+    if not exact:
+        r = r[r.sum(axis=1) >= 1e-12]
+    blocks = np.zeros((len(r), *p.entries.shape))
+    blocks[:, support[0], support[1]] = r
+    witness = tuple(NonnegMatrix(b) for b in blocks)
     return InfoResult(max(val, 0.0), witness,
                       "closed_form" if exact else "optimizer", conv)
 

@@ -72,10 +72,6 @@ class NonnegMatrix:
 
     entries: np.ndarray
 
-    @property
-    def total(self) -> float:
-        return float(self.entries.sum())
-
 
 @dataclass(frozen=True)
 class DatasetPair:

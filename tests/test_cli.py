@@ -8,7 +8,8 @@ import pytest
 
 from bucketing import cli, information
 from bucketing.cli import dispatch
-from bucketing.probmodel import make_matrix
+from bucketing.probmodel import bernoulli_matrix, make_matrix
+from bucketing.simharness import cauchy_baseline
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -49,6 +50,21 @@ class TestInfo:
         value = float(next(l for l in out.splitlines()
                            if not l.startswith("#")))
         assert value == pytest.approx(math.log(lift), abs=1e-6)
+
+    # (lambda0, lambda1, mu) of the info golden; the first three are
+    # optimizer answers, the last a closed-form candidate
+    GOLDEN_QUERIES = (("0.9", "0.9", "1"), ("0.8", "0.9", "2"),
+                      ("0.7", "0.8", "inf"), ("0.9", "0.6", "0.5"))
+
+    def test_info_golden_output(self, capsys):
+        out = ""
+        for l0, l1, mu in self.GOLDEN_QUERIES:
+            code, text, _ = run_cli(
+                ["info", "--p", "0.8", "--lambda0", l0, "--lambda1", l1,
+                 "--mu", mu], capsys)
+            assert code == 0
+            out += text
+        assert out.encode() == (GOLDEN / "info-bernoulli.txt").read_bytes()
 
     def test_missing_matrix_is_usage_error(self, capsys):
         code, _, _ = run_cli(["info", "--mu", "1"], capsys)
@@ -178,6 +194,19 @@ class TestSubcommands:
         assert code == 0
         assert "classical 1.321928" in out
         assert "improved 1.25" in out
+
+    def test_baseline_cauchy_samples(self, capsys):
+        code, out, _ = run_cli(
+            ["baseline", "--p", "0.9", "--cauchy-samples", "20000",
+             "--seed", "3"], capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            f"cauchy_sign_agreement {cauchy_baseline(20000, 3)!r}")
+
+    def test_baseline_p_one_is_usage_error(self, capsys):
+        code, out, _ = run_cli(["baseline", "--p", "1.0"], capsys)
+        assert code == 2
+        assert out == ""
 
     def test_sweep_golden_output(self, capsys):
         # every row is at lambda0 = lambda1 = 1, answered from the exact
@@ -348,6 +377,34 @@ class TestSimulate:
         assert code == 1
         assert err.startswith("error: ")
         assert out == ""
+
+    def test_typeclass_from_p_or_matrix(self, tmp_path, capsys):
+        # --p 0.9 and a --matrix file holding B0.9 build the same one-block
+        # code and give the same row but for the p column
+        path = tmp_path / "b09.json"
+        path.write_text(bernoulli_matrix(0.9).to_json())
+        rows = []
+        for source in (["--p", "0.9"], ["--matrix", str(path)]):
+            code, out, _ = run_cli(
+                ["simulate", "--code", "typeclass", "--d", "8",
+                 "--trials", "20", "--seed", "3", *source], capsys)
+            assert code == 0
+            [row] = csv.DictReader(io.StringIO(out.split("\n", 1)[1]))
+            rows.append(row)
+        assert rows[0].pop("p") == "0.9"
+        assert rows[1].pop("p") == "matrix"
+        assert rows[0] == rows[1]
+        assert (rows[0]["kind"], rows[0]["T"]) == ("typeclass", "1")
+
+    def test_full_space_default_n(self, capsys):
+        # one bucket holding every point: the default n is 1 / P(bucket)
+        code, out, _ = run_cli(
+            ["simulate", "--code", "full", "--d", "6", "--p", "0.9",
+             "--trials", "5"], capsys)
+        assert code == 0
+        [row] = csv.DictReader(io.StringIO(out.split("\n", 1)[1]))
+        assert (row["kind"], row["n0"], row["n1"]) == ("full_space", "1", "1")
+        assert (row["predicted_S"], row["predicted_W"]) == ("1.0", "1.0")
 
     def test_classical_requires_k(self, capsys):
         code, _, _ = run_cli(

@@ -372,6 +372,17 @@ class TestTypeClassCode:
         with pytest.raises(TooLarge):
             code_success_exact(code, p)
 
+    def test_membership_refuses_large_T(self):
+        # membership holds one column per bucket, so at d = 48 (T > 2^44)
+        # one point would need tens of TiB
+        p = bernoulli_matrix(0.9)
+        witness = info_numeric(p, InfoQuery(0.75, 0.75, 2)).witness
+        code = typeclass_code(p, 48, witness)
+        point = np.zeros((1, 48), dtype=np.uint8)
+        for side in (0, 1):
+            with pytest.raises(TooLarge):
+                code.membership(point, side)
+
     # sha256 over both sides' membership arrays on all 2^8 states, then
     # the descriptor JSON; floats are left out, since exact S goes through
     # BLAS and may differ in the last bit between machines

@@ -204,9 +204,9 @@ class TestInfoNumeric:
 
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 2.0, 8.0, math.inf])
     def test_value_grad_every_regime(self, mu):
-        # each regime's value is the definition at its witness, and its
-        # gradient is the derivative of that value; at scale 1.5 no
-        # witness block falls under the mass at which it is dropped
+        # each regime's value is the definition at its block family, placed
+        # on the support cells, and its gradient is the derivative of that
+        # value
         rng = derive_rng(45, "grad")
         matrices = [
             SKEW,
@@ -218,12 +218,15 @@ class TestInfoNumeric:
         for p in matrices:
             support = information._support(p, mu)
             _, w = information._candidates(p, l0, l1, mu, support)
-            value_grad, starts, witness = information._problem(
+            value_grad, starts, family = information._problem(
                 p, support, w, l0, l1, mu, n_starts=1, seed=20240)
             x = rng.normal(scale=1.5, size=starts[0].size)
             val, grad = value_grad(x)
+            r = family(x)
+            blocks = np.zeros((len(r), *p.entries.shape))
+            blocks[:, support[0], support[1]] = r
             assert val == pytest.approx(
-                block_objective(p, witness(x), l0, l1, mu), abs=1e-10)
+                block_objective(p, blocks, l0, l1, mu), abs=1e-10)
             steps = np.eye(x.size) * h
             central = np.array([
                 (value_grad(x + e)[0] - value_grad(x - e)[0]) / (2 * h)
